@@ -325,6 +325,7 @@ async fn ram_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool, sp: Option<&O
     enter(sp, &h.sim, Phase::CacheProbe);
     h.sim.sleep(h.cfg.ram_model.write).await;
     let outcome = h.ram.borrow_mut().insert(addr, dirty);
+    h.note_insert(addr, outcome);
     if let InsertOutcome::InsertedEvicting(ev) = outcome {
         if ev.dirty {
             evicted_ram_writeback(h, ev.addr, sp).await;
@@ -355,6 +356,7 @@ async fn evicted_ram_writeback(h: &Rc<HostCtx>, addr: BlockAddr, sp: Option<&OpS
 async fn flash_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool, sp: Option<&OpSpan>) {
     h.dev.write(addr, sp).await;
     let outcome = h.flash.borrow_mut().insert(addr, dirty);
+    h.note_insert(addr, outcome);
     if let InsertOutcome::InsertedEvicting(ev) = outcome {
         if ev.dirty {
             flush_to_filer(h, ev.addr, FlushSource::Flash, sp).await;
@@ -396,6 +398,7 @@ async fn unified_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool, sp: Optio
         .expect("unified cache")
         .borrow_mut()
         .insert(addr, dirty);
+    h.note_unified_insert(addr, &ins);
     match ins.medium {
         Medium::Ram => {
             enter(sp, &h.sim, Phase::CacheProbe);

@@ -1,9 +1,9 @@
 //! Per-host simulation state.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::{Rc, Weak};
 
-use fcache_cache::{BlockCache, UnifiedCache};
+use fcache_cache::{BlockCache, InsertOutcome, UnifiedCache, UnifiedInsert};
 use fcache_des::Sim;
 use fcache_device::IoLog;
 use fcache_filer::Filer;
@@ -17,7 +17,54 @@ use crate::devsvc::DeviceService;
 use crate::flush::FlushQueue;
 use crate::metrics::Metrics;
 use crate::robust::FaultCtx;
+use crate::sharers::SharerDirectory;
 use crate::telemetry::TelemetryCtx;
+
+/// Fewest hosts for which a run keeps a sharer directory. The directory
+/// costs a map update on every cache insert and eviction; the scan it
+/// replaces costs a probe of every peer's caches per written block. On
+/// hosts sharing one working set with 30–60 % writes (naive, lookaside and
+/// unified; 2-vCPU x86-64 box) the directory was 11–39 % slower than the
+/// scan at 2 hosts, slower in 11 of 12 cases at 4–8 hosts, within ±5 % at
+/// 16 and 8–27 % faster at 32.
+const DIRECTORY_MIN_HOSTS: u16 = 16;
+
+/// The hosts of one multi-host run, shared by every host of the run, and —
+/// from [`DIRECTORY_MIN_HOSTS`] hosts up — the sharer directory over their
+/// caches. A one-host run has no peers to invalidate and builds none.
+pub(crate) struct Peers {
+    /// Every host of the run, indexed by `HostCtx::id` (weak: the hosts
+    /// own this registry).
+    hosts: OnceCell<Vec<Weak<HostCtx>>>,
+    /// Which hosts' caches hold each block (see `crate::sharers`); `None`
+    /// below [`DIRECTORY_MIN_HOSTS`], where invalidation scans every peer.
+    dir: Option<RefCell<SharerDirectory>>,
+}
+
+impl Peers {
+    /// An empty registry for a run of `n_hosts` hosts;
+    /// [`Peers::register`] fills it once the run's hosts exist.
+    pub fn new(n_hosts: u16) -> Self {
+        Self {
+            hosts: OnceCell::new(),
+            dir: (n_hosts >= DIRECTORY_MIN_HOSTS).then(|| RefCell::new(SharerDirectory::new())),
+        }
+    }
+
+    /// Registers the run's hosts, in `HostId` order.
+    pub fn register(&self, hosts: &[Rc<HostCtx>]) {
+        let weak = hosts.iter().map(Rc::downgrade).collect();
+        assert!(self.hosts.set(weak).is_ok(), "hosts registered twice");
+    }
+
+    fn hosts(&self) -> impl Iterator<Item = Rc<HostCtx>> + '_ {
+        self.hosts
+            .get()
+            .into_iter()
+            .flatten()
+            .filter_map(Weak::upgrade)
+    }
+}
 
 /// This host's view of the sharded remote tier: the shared store plus one
 /// private segment per shard (the host's network link to that backend).
@@ -39,7 +86,11 @@ pub(crate) struct RemoteCtx {
 /// Everything one compute server ("host") owns in the simulation.
 ///
 /// Caches live in `RefCell`s; engine code never holds a borrow across an
-/// await point.
+/// await point. In a multi-host run every host shares one [`Peers`]
+/// registry: the run's host list plus, from [`DIRECTORY_MIN_HOSTS`] hosts
+/// up, the sharer directory recording which hosts' caches hold each block,
+/// which the engine updates on every insert and eviction so that a write
+/// invalidates only the holders.
 pub(crate) struct HostCtx {
     /// Host identity.
     pub id: HostId,
@@ -70,8 +121,9 @@ pub(crate) struct HostCtx {
     pub ram_flush_pending: RefCell<FxHashSet<u64>>,
     /// Blocks with an asynchronous flash-tier flush in flight (dedupe).
     pub flash_flush_pending: RefCell<FxHashSet<u64>>,
-    /// Other hosts, for instant cache-consistency invalidation.
-    pub peers: RefCell<Vec<Weak<HostCtx>>>,
+    /// The run's hosts (and sharer directory, if it keeps one), for
+    /// instant cache-consistency invalidation. `None` in a one-host run.
+    pub peers: Option<Rc<Peers>>,
     /// Set once the first measured (non-warmup) operation issues; flipping
     /// it resets all statistics.
     pub warmup_over: Rc<Cell<bool>>,
@@ -137,26 +189,83 @@ impl HostCtx {
         }
     }
 
+    /// True if any of this host's cache tiers holds `addr`.
+    fn holds(&self, addr: BlockAddr) -> bool {
+        self.ram.borrow().contains(addr)
+            || self.flash.borrow().contains(addr)
+            || self
+                .unified
+                .as_ref()
+                .is_some_and(|u| u.borrow().contains(addr))
+    }
+
+    /// Removes `addr` from every tier of this host; true if any held it.
+    fn drop_copy(&self, addr: BlockAddr) -> bool {
+        let mut held = self.ram.borrow_mut().remove(addr).is_some();
+        held |= self.flash.borrow_mut().remove(addr).is_some();
+        if let Some(u) = &self.unified {
+            held |= u.borrow_mut().remove(addr).is_some();
+        }
+        held
+    }
+
+    /// The run's sharer directory, if it keeps one.
+    fn directory(&self) -> Option<&RefCell<SharerDirectory>> {
+        self.peers.as_ref()?.dir.as_ref()
+    }
+
+    /// Records a RAM or flash insert's outcome in the sharer directory:
+    /// a new copy lists this host, and an evicted victim delists it once
+    /// no tier holds the block.
+    pub fn note_insert(&self, addr: BlockAddr, outcome: InsertOutcome) {
+        if let Some(dir) = self.directory() {
+            dir.borrow_mut()
+                .note_insert(self.id.0, addr, outcome, |victim| self.holds(victim));
+        }
+    }
+
+    /// Records a unified-cache insert's outcome in the sharer directory.
+    pub fn note_unified_insert(&self, addr: BlockAddr, ins: &UnifiedInsert) {
+        if let Some(dir) = self.directory() {
+            dir.borrow_mut().note_unified_insert(self.id.0, addr, ins);
+        }
+    }
+
     /// Invalidates copies of `addr` held by *other* hosts (instant, global
-    /// knowledge, §3.8); returns how many hosts held a copy.
+    /// knowledge, §3.8); returns how many hosts held a copy. With a sharer
+    /// directory only the hosts it lists as holders are visited, and they
+    /// are delisted; debug builds cross-check that no unlisted peer holds
+    /// the block. Without one every peer's caches are probed.
     pub fn invalidate_peers(&self, addr: BlockAddr) -> u64 {
+        let Some(peers) = &self.peers else {
+            return 0;
+        };
+        let Some(dir) = &peers.dir else {
+            return peers
+                .hosts()
+                .filter(|p| p.id != self.id)
+                .map(|p| u64::from(p.drop_copy(addr)))
+                .sum();
+        };
+        let hosts = peers.hosts.get().expect("hosts registered at build");
         let mut count = 0u64;
-        for peer in self.peers.borrow().iter().filter_map(Weak::upgrade) {
-            let mut held = false;
-            if peer.ram.borrow_mut().remove(addr).is_some() {
-                held = true;
+        dir.borrow_mut().invalidate(addr, self.id.0, |id| {
+            if let Some(peer) = hosts[usize::from(id)].upgrade() {
+                let held = peer.drop_copy(addr);
+                debug_assert!(
+                    held,
+                    "directory lists host {id} for {addr:?} without a copy"
+                );
+                count += u64::from(held);
             }
-            if peer.flash.borrow_mut().remove(addr).is_some() {
-                held = true;
-            }
-            if let Some(u) = &peer.unified {
-                if u.borrow_mut().remove(addr).is_some() {
-                    held = true;
-                }
-            }
-            if held {
-                count += 1;
-            }
+        });
+        #[cfg(debug_assertions)]
+        for peer in peers.hosts().filter(|p| p.id != self.id) {
+            assert!(
+                !peer.holds(addr),
+                "host {:?} holds {addr:?} but the directory does not list it",
+                peer.id
+            );
         }
         count
     }
@@ -169,9 +278,9 @@ impl HostCtx {
             return;
         }
         self.warmup_over.set(true);
-        self.reset_stats();
-        for peer in self.peers.borrow().iter().filter_map(Weak::upgrade) {
-            peer.reset_stats();
+        match &self.peers {
+            Some(peers) => peers.hosts().for_each(|h| h.reset_stats()),
+            None => self.reset_stats(),
         }
         self.filer.reset_stats();
         if let Some(remote) = &self.remote {

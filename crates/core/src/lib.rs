@@ -85,6 +85,7 @@ pub mod report;
 pub mod results;
 pub mod robust;
 pub mod scenario;
+mod sharers;
 pub mod sim;
 mod spill;
 pub mod telemetry;

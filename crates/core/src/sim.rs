@@ -40,7 +40,7 @@ use crate::config::SimConfig;
 use crate::devsvc::DeviceService;
 use crate::engine::{self, execute_op};
 use crate::flush::{self, FlushQueue};
-use crate::host::{HostCtx, RemoteCtx};
+use crate::host::{HostCtx, Peers, RemoteCtx};
 use crate::metrics::Metrics;
 use crate::report::SimReport;
 use crate::robust::{DegradedPolicy, FaultCtx, RobustnessState};
@@ -219,6 +219,9 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
     let mut group_segment: Option<Segment> = None;
     let mut group_remote_segments: Option<Vec<Segment>> = None;
     let mut hosts: Vec<Rc<HostCtx>> = Vec::with_capacity(usize::from(n_hosts));
+    // Cache-consistency invalidation needs peers: one registry (with a
+    // sharer directory once there are enough hosts) per multi-host run.
+    let peers = (n_hosts > 1).then(|| Rc::new(Peers::new(n_hosts)));
     for i in 0..n_hosts {
         {
             // This host's view of the remote tier: one segment per shard
@@ -358,7 +361,7 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
                 dev,
                 ram_flush_pending: RefCell::new(FxHashSet::default()),
                 flash_flush_pending: RefCell::new(FxHashSet::default()),
-                peers: RefCell::new(Vec::new()),
+                peers: peers.clone(),
                 warmup_over: Rc::clone(&warmup_over),
                 buf_pool: RefCell::new(Vec::new()),
                 flushq: FlushQueue::new(),
@@ -370,13 +373,8 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
             }));
         }
     }
-    for (i, h) in hosts.iter().enumerate() {
-        *h.peers.borrow_mut() = hosts
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, p)| Rc::downgrade(p))
-            .collect();
+    if let Some(p) = &peers {
+        p.register(&hosts);
     }
 
     SimParts {

@@ -546,3 +546,67 @@ fn report_percentiles_track_mix() {
     assert!(p50 < 1.0, "p50 {p50} µs should be a RAM hit");
     assert!(p99 > 100.0, "p99 {p99} µs should be the cold read");
 }
+
+#[test]
+fn evicting_hosts_invalidate_only_current_holders() {
+    // Hosts share one working set through caches far smaller than it, so
+    // every tier evicts constantly: a block a host once cached is often
+    // gone again by the time a peer writes it. Invalidation must count
+    // exactly the peers that still hold a copy — the counts and the full
+    // report digests below were recorded from the brute-force scan over
+    // every peer, and any host whose departure from (or arrival in) a
+    // block's holder set goes unnoticed changes them. Eight hosts take
+    // the scan; sixteen keep a sharer directory.
+    let wb = fcache::Workbench::new(2048, 5);
+    let digest = |r: &fcache::SimReport| {
+        let text = fcache::report_to_json(r).to_string();
+        text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    };
+    let cases = [
+        (
+            8,
+            16,
+            [
+                (Architecture::Naive, (828, 1373, 0x898b_a441_f2f8_65c9)),
+                (Architecture::Lookaside, (829, 1377, 0x2009_6a75_1dc2_1677)),
+                (Architecture::Unified, (834, 1374, 0xc2f9_cbe6_a1f8_2918)),
+            ],
+        ),
+        (
+            16,
+            64,
+            [
+                (Architecture::Naive, (3504, 5871, 0x90f3_b52e_ceba_c75e)),
+                (Architecture::Lookaside, (3499, 5897, 0x879d_0680_459f_730d)),
+                (Architecture::Unified, (3458, 5852, 0x9a1b_cd8d_895c_6012)),
+            ],
+        ),
+    ];
+    for (hosts, ws_gib, archs) in cases {
+        let spec = fcache::WorkloadSpec {
+            working_set: ByteSize::gib(ws_gib),
+            hosts,
+            seed: 12,
+            ..fcache::WorkloadSpec::default()
+        };
+        for (arch, want) in archs {
+            let c = SimConfig {
+                arch,
+                ram_size: ByteSize::gib(1),
+                flash_size: ByteSize::gib(4),
+                ..SimConfig::baseline()
+            };
+            let r = wb.scenario(&c, &spec).run().expect("multi-host run");
+            let evictions = r.ram.evictions() + r.flash.evictions() + r.unified.evictions();
+            assert!(evictions > 0, "{hosts} hosts, {arch:?}: caches must evict");
+            let got = (
+                r.metrics.writes_invalidating,
+                r.metrics.invalidated_blocks,
+                digest(&r),
+            );
+            assert_eq!(got, want, "{hosts} hosts, {arch:?}");
+        }
+    }
+}

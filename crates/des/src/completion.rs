@@ -39,8 +39,8 @@ use std::task::{Context, Poll};
 
 /// A set of in-flight sub-operations awaited together.
 ///
-/// Futures submitted to the set are not polled until [`wait_all`]
-/// (`CompletionSet::wait_all`) is awaited; the first poll then runs them
+/// Futures submitted to the set are not polled until
+/// [`wait_all`](CompletionSet::wait_all) is awaited; the first poll then runs them
 /// in submission order, which is what queues their resource acquisitions
 /// FIFO. The set may be reused after `wait_all` completes.
 #[derive(Default)]

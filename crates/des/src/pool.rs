@@ -6,6 +6,11 @@
 //! layout turns steady-state spawning into pointer pops: the set of distinct
 //! layouts is the set of spawned future types, a small closed set per
 //! program, so a linear scan over the classes beats hashing.
+//!
+//! A thread's retained blocks go back to the global allocator when the
+//! thread exits (the pool's destructor), so sweep and fleet worker threads
+//! leak nothing. Blocks freed after that — by another thread-local's
+//! destructor running later in the thread's teardown — bypass the pool.
 
 use std::alloc::Layout;
 use std::cell::RefCell;
@@ -19,9 +24,25 @@ const PER_CLASS: usize = 4096;
 /// global allocator (never hit in practice).
 const MAX_CLASSES: usize = 64;
 
+/// One thread's free lists, one per layout class.
+struct Pool(Vec<(Layout, Vec<NonNull<u8>>)>);
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        for (layout, blocks) in self.0.drain(..) {
+            #[cfg(test)]
+            tests::note_exit_free(layout, blocks.len());
+            for ptr in blocks {
+                // SAFETY: every pooled block came from `palloc` with this
+                // class's exact layout and is owned by the pool alone.
+                unsafe { std::alloc::dealloc(ptr.as_ptr(), layout) };
+            }
+        }
+    }
+}
+
 thread_local! {
-    static POOL: RefCell<Vec<(Layout, Vec<NonNull<u8>>)>> =
-        RefCell::new(Vec::with_capacity(MAX_CLASSES));
+    static POOL: RefCell<Pool> = RefCell::new(Pool(Vec::with_capacity(MAX_CLASSES)));
 }
 
 /// Allocates a block of `layout`, reusing a previously freed block of the
@@ -33,13 +54,16 @@ thread_local! {
 /// have non-zero size.
 pub(crate) fn palloc(layout: Layout) -> NonNull<u8> {
     debug_assert!(layout.size() > 0);
-    let reused = POOL.with(|p| {
-        let mut classes = p.borrow_mut();
-        classes
-            .iter_mut()
-            .find(|(l, _)| *l == layout)
-            .and_then(|(_, list)| list.pop())
-    });
+    let reused = POOL
+        .try_with(|p| {
+            p.borrow_mut()
+                .0
+                .iter_mut()
+                .find(|(l, _)| *l == layout)
+                .and_then(|(_, list)| list.pop())
+        })
+        .ok()
+        .flatten();
     reused.unwrap_or_else(|| {
         // SAFETY: non-zero size asserted above.
         NonNull::new(unsafe { std::alloc::alloc(layout) })
@@ -51,8 +75,8 @@ pub(crate) fn palloc(layout: Layout) -> NonNull<u8> {
 /// `layout`. Must be called on the allocating thread (all users are
 /// `!Send`, so this holds by construction).
 pub(crate) fn pfree(ptr: NonNull<u8>, layout: Layout) {
-    let pooled = POOL.with(|p| {
-        let mut classes = p.borrow_mut();
+    let pooled = POOL.try_with(|p| {
+        let classes = &mut p.borrow_mut().0;
         if let Some((_, list)) = classes.iter_mut().find(|(l, _)| *l == layout) {
             if list.len() < PER_CLASS {
                 list.push(ptr);
@@ -64,7 +88,7 @@ pub(crate) fn pfree(ptr: NonNull<u8>, layout: Layout) {
         }
         false
     });
-    if !pooled {
+    if pooled != Ok(true) {
         // SAFETY: `ptr` came from `palloc` with this exact layout.
         unsafe { std::alloc::dealloc(ptr.as_ptr(), layout) };
     }
@@ -73,6 +97,48 @@ pub(crate) fn pfree(ptr: NonNull<u8>, layout: Layout) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Blocks freed by exiting threads' pools, per layout.
+    static EXIT_FREED: Mutex<Vec<(Layout, usize)>> = Mutex::new(Vec::new());
+
+    pub(super) fn note_exit_free(layout: Layout, n: usize) {
+        EXIT_FREED.lock().unwrap().push((layout, n));
+    }
+
+    #[test]
+    fn thread_exit_frees_pooled_blocks() {
+        // A layout no other test uses, so the tally is this thread's alone.
+        let layout = Layout::from_size_align(4040, 8).unwrap();
+        std::thread::spawn(move || {
+            let blocks: Vec<_> = (0..7).map(|_| palloc(layout)).collect();
+            for b in blocks {
+                pfree(b, layout);
+            }
+            let pooled = POOL.with(|p| {
+                let classes = &p.borrow().0;
+                classes
+                    .iter()
+                    .find(|(l, _)| *l == layout)
+                    .map(|(_, v)| v.len())
+            });
+            assert_eq!(
+                pooled,
+                Some(7),
+                "freed blocks are retained while the thread runs"
+            );
+        })
+        .join()
+        .unwrap();
+        let freed: usize = EXIT_FREED
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|(l, _)| *l == layout)
+            .map(|(_, n)| n)
+            .sum();
+        assert_eq!(freed, 7, "the exiting thread's pool returns its blocks");
+    }
 
     #[test]
     fn blocks_are_recycled_by_layout() {
