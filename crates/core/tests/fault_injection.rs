@@ -5,8 +5,8 @@
 //! robustness section untouched.
 
 use fcache::{
-    run_trace, DegradedPolicy, FlashTiming, RobustnessStats, SimConfig, SimError, Workbench,
-    WorkloadSpec, WritebackPolicy,
+    run_trace, Architecture, DegradedPolicy, FlashTiming, RobustnessStats, SimConfig, SimError,
+    Workbench, WorkloadSpec, WritebackPolicy,
 };
 use fcache_device::{SimTime, SsdConfig};
 use fcache_types::{ByteSize, FaultPlan, Trace};
@@ -164,4 +164,332 @@ fn device_slowdown_inflates_device_service_times() {
         slow.device.read_avg_us(),
         clean.device.read_avg_us()
     );
+}
+
+// ---------------------------------------------------------------------------
+// Golden check: faulted single-filer runs
+// ---------------------------------------------------------------------------
+
+/// Report fields of faulted runs against the default single filer
+/// (1 shard × 1 replica), recorded on the engine that still carried a
+/// separate filer path beside the sharded remote tier (same workload:
+/// `Workbench::new(4096, 42)`, `WorkloadSpec::baseline_60g()`, configs
+/// scaled down by 4096). The one backend path must keep reproducing them
+/// bit for bit: seeds, retries, parks and the executor event count.
+#[derive(Debug, PartialEq, Eq)]
+struct FaultGolden {
+    end_ns: u64,
+    events: u64,
+    read_latency_ns: u64,
+    write_latency_ns: u64,
+    filer_fast: u64,
+    filer_slow: u64,
+    filer_writes: u64,
+    net_packets: u64,
+    retries: u64,
+    timeouts: u64,
+    queued: u64,
+    failed: u64,
+    buffered: u64,
+}
+
+/// One pinned case: plan, degraded policy, architecture, and whether the
+/// RAM tier writes through (which engages write-through degradation).
+struct FaultCase {
+    plan: &'static str,
+    degraded: DegradedPolicy,
+    arch: Architecture,
+    write_through: bool,
+    golden: FaultGolden,
+}
+
+const FAULT_GOLDENS: &[FaultCase] = &[
+    FaultCase {
+        plan: "filer:outage@40s-60s",
+        degraded: DegradedPolicy::Queue,
+        arch: Architecture::Naive,
+        write_through: false,
+        golden: FaultGolden {
+            end_ns: 615210052,
+            events: 69631,
+            read_latency_ns: 1432240716,
+            write_latency_ns: 1002400,
+            filer_fast: 1162,
+            filer_slow: 137,
+            filer_writes: 3258,
+            net_packets: 7259,
+            retries: 0,
+            timeouts: 0,
+            queued: 14,
+            failed: 0,
+            buffered: 0,
+        },
+    },
+    FaultCase {
+        plan: "filer:outage@40s-60s",
+        degraded: DegradedPolicy::FailFast,
+        arch: Architecture::Lookaside,
+        write_through: false,
+        golden: FaultGolden {
+            end_ns: 576618829,
+            events: 60880,
+            read_latency_ns: 1572001228,
+            write_latency_ns: 8582261,
+            filer_fast: 2859,
+            filer_slow: 312,
+            filer_writes: 4872,
+            net_packets: 11180,
+            retries: 0,
+            timeouts: 0,
+            queued: 67,
+            failed: 140,
+            buffered: 0,
+        },
+    },
+    FaultCase {
+        plan: "filer:outage@40s-60s",
+        degraded: DegradedPolicy::Queue,
+        arch: Architecture::Unified,
+        write_through: true,
+        golden: FaultGolden {
+            end_ns: 610618981,
+            events: 45926,
+            read_latency_ns: 1170536976,
+            write_latency_ns: 198162040,
+            filer_fast: 1088,
+            filer_slow: 130,
+            filer_writes: 3296,
+            net_packets: 7278,
+            retries: 0,
+            timeouts: 0,
+            queued: 15,
+            failed: 0,
+            buffered: 1,
+        },
+    },
+    FaultCase {
+        plan: "filer:outage@40s-60s",
+        degraded: DegradedPolicy::FailFast,
+        arch: Architecture::Naive,
+        write_through: true,
+        golden: FaultGolden {
+            end_ns: 600343573,
+            events: 59984,
+            read_latency_ns: 1275992973,
+            write_latency_ns: 43128400,
+            filer_fast: 2361,
+            filer_slow: 252,
+            filer_writes: 4890,
+            net_packets: 11001,
+            retries: 0,
+            timeouts: 0,
+            queued: 1085,
+            failed: 329,
+            buffered: 1211,
+        },
+    },
+    FaultCase {
+        plan: "filer:err0.3@20s-80s",
+        degraded: DegradedPolicy::Queue,
+        arch: Architecture::Unified,
+        write_through: false,
+        golden: FaultGolden {
+            end_ns: 599268640,
+            events: 49422,
+            read_latency_ns: 1295258088,
+            write_latency_ns: 46981600,
+            filer_fast: 1061,
+            filer_slow: 125,
+            filer_writes: 3296,
+            net_packets: 7270,
+            retries: 14,
+            timeouts: 14,
+            queued: 0,
+            failed: 0,
+            buffered: 0,
+        },
+    },
+    FaultCase {
+        plan: "filer:err0.3@20s-80s",
+        degraded: DegradedPolicy::FailFast,
+        arch: Architecture::Naive,
+        write_through: false,
+        golden: FaultGolden {
+            end_ns: 609454464,
+            events: 69564,
+            read_latency_ns: 1516496536,
+            write_latency_ns: 1002400,
+            filer_fast: 1252,
+            filer_slow: 150,
+            filer_writes: 3322,
+            net_packets: 7435,
+            retries: 14,
+            timeouts: 14,
+            queued: 0,
+            failed: 0,
+            buffered: 0,
+        },
+    },
+    FaultCase {
+        plan: "net:err0.5@20s-80s",
+        degraded: DegradedPolicy::Queue,
+        arch: Architecture::Lookaside,
+        write_through: false,
+        golden: FaultGolden {
+            end_ns: 605535220,
+            events: 62635,
+            read_latency_ns: 1427610936,
+            write_latency_ns: 1002400,
+            filer_fast: 1178,
+            filer_slow: 138,
+            filer_writes: 3266,
+            net_packets: 7282,
+            retries: 63,
+            timeouts: 65,
+            queued: 0,
+            failed: 2,
+            buffered: 0,
+        },
+    },
+    FaultCase {
+        plan: "net:err0.5@20s-80s",
+        degraded: DegradedPolicy::FailFast,
+        arch: Architecture::Unified,
+        write_through: false,
+        golden: FaultGolden {
+            end_ns: 605649526,
+            events: 49484,
+            read_latency_ns: 1284373756,
+            write_latency_ns: 47187600,
+            filer_fast: 1065,
+            filer_slow: 126,
+            filer_writes: 3300,
+            net_packets: 7277,
+            retries: 34,
+            timeouts: 37,
+            queued: 0,
+            failed: 3,
+            buffered: 0,
+        },
+    },
+    FaultCase {
+        plan: "filer:slowx4@20s-80s",
+        degraded: DegradedPolicy::Queue,
+        arch: Architecture::Naive,
+        write_through: false,
+        golden: FaultGolden {
+            end_ns: 622393020,
+            events: 69695,
+            read_latency_ns: 1490775924,
+            write_latency_ns: 1002400,
+            filer_fast: 1231,
+            filer_slow: 148,
+            filer_writes: 3385,
+            net_packets: 7547,
+            retries: 0,
+            timeouts: 0,
+            queued: 0,
+            failed: 0,
+            buffered: 0,
+        },
+    },
+    FaultCase {
+        plan: "filer:slowx4@20s-80s",
+        degraded: DegradedPolicy::FailFast,
+        arch: Architecture::Lookaside,
+        write_through: false,
+        golden: FaultGolden {
+            end_ns: 616628356,
+            events: 62496,
+            read_latency_ns: 1447298124,
+            write_latency_ns: 1002400,
+            filer_fast: 1242,
+            filer_slow: 151,
+            filer_writes: 3402,
+            net_packets: 7584,
+            retries: 0,
+            timeouts: 0,
+            queued: 0,
+            failed: 0,
+            buffered: 0,
+        },
+    },
+    FaultCase {
+        plan: "net:err0.5@30s-50s;filer:outage@40s-60s",
+        degraded: DegradedPolicy::Queue,
+        arch: Architecture::Naive,
+        write_through: true,
+        golden: FaultGolden {
+            end_ns: 611040773,
+            events: 61917,
+            read_latency_ns: 1422128264,
+            write_latency_ns: 53628400,
+            filer_fast: 1224,
+            filer_slow: 144,
+            filer_writes: 3314,
+            net_packets: 7400,
+            retries: 20,
+            timeouts: 20,
+            queued: 7,
+            failed: 0,
+            buffered: 0,
+        },
+    },
+    FaultCase {
+        plan: "net:err0.5@30s-50s;filer:outage@40s-60s",
+        degraded: DegradedPolicy::FailFast,
+        arch: Architecture::Unified,
+        write_through: false,
+        golden: FaultGolden {
+            end_ns: 567128550,
+            events: 48881,
+            read_latency_ns: 1390045444,
+            write_latency_ns: 47084600,
+            filer_fast: 1848,
+            filer_slow: 204,
+            filer_writes: 3939,
+            net_packets: 8907,
+            retries: 24,
+            timeouts: 24,
+            queued: 257,
+            failed: 114,
+            buffered: 0,
+        },
+    },
+];
+
+#[test]
+fn faulted_single_filer_runs_match_goldens() {
+    let trace = workbench_trace();
+    for case in FAULT_GOLDENS {
+        let mut cfg = faulted(case.plan);
+        cfg.arch = case.arch;
+        cfg.robustness.degraded = case.degraded;
+        if case.write_through {
+            cfg.ram_policy = WritebackPolicy::WriteThrough;
+        }
+        let r = run_trace(&cfg, &trace).expect("faulted run");
+        assert!(!r.shard.engaged(), "a 1x1 run reports no shard section");
+        let rs = &r.robustness;
+        let got = FaultGolden {
+            end_ns: r.end_time.as_nanos(),
+            events: r.events,
+            read_latency_ns: r.metrics.read_latency.as_nanos(),
+            write_latency_ns: r.metrics.write_latency.as_nanos(),
+            filer_fast: r.filer.fast_reads,
+            filer_slow: r.filer.slow_reads,
+            filer_writes: r.filer.writes,
+            net_packets: r.net.packets,
+            retries: rs.retries,
+            timeouts: rs.timeouts,
+            queued: rs.queued_ops,
+            failed: rs.failed_ops,
+            buffered: rs.buffered_writes,
+        };
+        assert_eq!(
+            got, case.golden,
+            "{} / {:?} / {:?} / write_through={}",
+            case.plan, case.degraded, case.arch, case.write_through
+        );
+    }
 }
