@@ -124,9 +124,9 @@ pub struct SimConfig {
     /// [`SimConfig::scaled_down`] sets this automatically.
     pub time_scale: u64,
     /// Number of backend shards in the remote tier. 1 (the default) with
-    /// `replicas == 1` and no `shard*` fault clauses keeps the single-filer
-    /// engine, bit-identical to the pre-remote path (PERF.md invariant 11);
-    /// anything else engages the sharded read-any/write-all tier.
+    /// `replicas == 1` is the paper's single filer: a one-shard store with
+    /// the plain filer's seeds (PERF.md invariant 11). More shards route
+    /// blocks by hash range through the same read-any/write-all path.
     pub shards: u16,
     /// Replication factor of the remote tier (copies per block). Must be
     /// in `1..=shards`.
@@ -253,10 +253,11 @@ impl SimConfig {
             .map(|p| fcache_des::SimTime::from_nanos((p.as_nanos() / self.time_scale).max(1)))
     }
 
-    /// Whether this configuration engages the sharded remote tier. A
-    /// hedge delay alone does not engage it — hedging with one replica is
-    /// a no-op, and engaging would cost the bit-identity of the plain
-    /// filer path (PERF.md invariant 11).
+    /// Whether the report and the run header show a shard section. Every
+    /// run goes through the same sharded backend; only a topology beyond
+    /// one shard × one replica, or a fault clause naming a shard, makes
+    /// the section worth showing. A hedge delay alone does not — hedging
+    /// with one replica is a no-op.
     pub fn remote_engaged(&self) -> bool {
         self.shards > 1 || self.replicas > 1 || self.fault_plan.has_shard_clauses()
     }

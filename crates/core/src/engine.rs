@@ -13,7 +13,6 @@ use std::task::{Context, Poll, Waker};
 use fcache_cache::{InsertOutcome, Medium};
 use fcache_des::SimTime;
 use fcache_net::Direction;
-use fcache_remote::RemoteStore;
 use fcache_types::{BlockAddr, FaultError, FaultKind, OpKind, Phase, TraceOp, BLOCK_SIZE};
 
 use crate::arch::Architecture;
@@ -129,25 +128,7 @@ async fn read_layered(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
     // (§5) — one request covers every block this op still misses.
     let miss_count = filer_misses.len() as u64;
     if !filer_misses.is_empty() {
-        let fetched = if h.remote.is_some() {
-            remote_fetch(h, &filer_misses, sp).await
-        } else {
-            match &h.fault {
-                None => {
-                    let n = filer_misses.len() as u32;
-                    enter(sp, &h.sim, Phase::Net);
-                    h.segment.transfer(Direction::ToServer, 0).await;
-                    enter(sp, &h.sim, Phase::Filer);
-                    h.filer.read_blocks(&filer_misses).await;
-                    enter(sp, &h.sim, Phase::Net);
-                    h.segment
-                        .transfer(Direction::FromServer, u64::from(n) * BLOCK_SIZE)
-                        .await;
-                    true
-                }
-                Some(f) => fetch_from_filer(h, &Rc::clone(f), &filer_misses, sp).await,
-            }
-        };
+        let fetched = remote_fetch(h, &filer_misses, sp).await;
         if fetched {
             if h.has_flash() && h.cfg.populate_flash_on_read {
                 for &b in filer_misses.iter() {
@@ -223,25 +204,7 @@ async fn read_unified(h: &Rc<HostCtx>, op: &TraceOp, sp: Option<&OpSpan>) {
         return;
     }
     let miss_count = misses.len() as u64;
-    let fetched = if h.remote.is_some() {
-        remote_fetch(h, &misses, sp).await
-    } else {
-        match &h.fault {
-            None => {
-                let n = misses.len() as u32;
-                enter(sp, &h.sim, Phase::Net);
-                h.segment.transfer(Direction::ToServer, 0).await;
-                enter(sp, &h.sim, Phase::Filer);
-                h.filer.read_blocks(&misses).await;
-                enter(sp, &h.sim, Phase::Net);
-                h.segment
-                    .transfer(Direction::FromServer, u64::from(n) * BLOCK_SIZE)
-                    .await;
-                true
-            }
-            Some(f) => fetch_from_filer(h, &Rc::clone(f), &misses, sp).await,
-        }
-    };
+    let fetched = remote_fetch(h, &misses, sp).await;
     if let Some(s) = sp {
         s.note_blocks(
             u64::from(op.nblocks()) - miss_count,
@@ -441,60 +404,7 @@ async fn unified_insert(h: &Rc<HostCtx>, addr: BlockAddr, dirty: bool, sp: Optio
 }
 
 // ---------------------------------------------------------------------------
-// Flush machinery
-// ---------------------------------------------------------------------------
-
-/// Sends one dirty block to the filer: data packet out, buffered filer
-/// write, acknowledgement back. Flushing from flash first pays a flash read
-/// (the data must come off the device) when configured.
-async fn flush_to_filer(h: &Rc<HostCtx>, addr: BlockAddr, src: FlushSource, sp: Option<&OpSpan>) {
-    if src == FlushSource::Flash && h.cfg.charge_flash_read_on_writeback {
-        // The data must come off the device before it can be sent.
-        h.dev.read(addr, sp).await;
-    }
-    if h.remote.is_some() {
-        return remote_write_all(h, addr, sp).await;
-    }
-    let Some(f) = h.fault.as_ref().map(Rc::clone) else {
-        enter(sp, &h.sim, Phase::Net);
-        h.segment.transfer(Direction::ToServer, BLOCK_SIZE).await;
-        enter(sp, &h.sim, Phase::Filer);
-        h.filer.write(1).await;
-        enter(sp, &h.sim, Phase::Net);
-        h.segment.transfer(Direction::FromServer, 0).await;
-        return;
-    };
-    // Dirty data is never dropped: a flush retries without bound (the
-    // backoff exponent is capped), parking through outages regardless of
-    // the degraded policy — durability over latency.
-    let mut attempt: u32 = 0;
-    loop {
-        if park_through_outage(h, &f, sp).await {
-            continue;
-        }
-        let sent = async {
-            enter(sp, &h.sim, Phase::Net);
-            h.segment
-                .try_transfer(Direction::ToServer, BLOCK_SIZE)
-                .await?;
-            enter(sp, &h.sim, Phase::Filer);
-            h.filer.try_write(1).await?;
-            enter(sp, &h.sim, Phase::Net);
-            h.segment.try_transfer(Direction::FromServer, 0).await
-        }
-        .await;
-        match sent {
-            Ok(()) => return,
-            Err(_) => {
-                attempt += 1;
-                failed_attempt(h, &f, attempt, sp).await;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fault-mode fetch / retry machinery (see `crate::robust`)
+// Degraded mode and retries (see `crate::robust`)
 // ---------------------------------------------------------------------------
 
 /// True when the filer fault schedule has an outage open right now. Always
@@ -513,22 +423,25 @@ fn buffered_write(h: &HostCtx) {
     }
 }
 
-/// If the filer is in outage, sleeps until it clears and returns true
-/// (counting the parked op); returns false when the filer is up.
-async fn park_through_outage(h: &Rc<HostCtx>, f: &Rc<FaultCtx>, sp: Option<&OpSpan>) -> bool {
-    let Some(clear_ns) = f.set.filer.outage_until(h.sim.now().as_nanos()) else {
-        return false;
-    };
+/// Parks an op whose replicas `shards` are all down until the first of
+/// them returns, counting it as queued (degraded-mode queueing). Outages
+/// only exist under a fault plan, so the fault ctx is present.
+async fn park_until_live(h: &Rc<HostCtx>, shards: impl Iterator<Item = u16>, sp: Option<&OpSpan>) {
+    let f = h.fault.as_ref().expect("outages require a fault plan");
+    let now = h.sim.now().as_nanos();
+    let clear = shards
+        .filter_map(|s| h.remote.store.outage_until(s, now))
+        .min()
+        .unwrap_or(now);
     RobustnessState::bump(&f.state.queued_ops);
-    let wait = SimTime::from_nanos(clear_ns).saturating_sub(h.sim.now());
+    let wait = SimTime::from_nanos(clear).saturating_sub(h.sim.now());
     enter(sp, &h.sim, Phase::DegradedPark);
     h.sim.sleep(wait.max(SimTime::from_nanos(1))).await;
-    true
 }
 
 /// Charges one failed exchange attempt: the per-op timeout, then the
 /// jittered exponential backoff before the retry.
-async fn failed_attempt(h: &Rc<HostCtx>, f: &Rc<FaultCtx>, attempt: u32, sp: Option<&OpSpan>) {
+async fn failed_attempt(h: &Rc<HostCtx>, f: &FaultCtx, attempt: u32, sp: Option<&OpSpan>) {
     RobustnessState::bump(&f.state.timeouts);
     enter(sp, &h.sim, Phase::RetryBackoff);
     h.sim.sleep(f.op_timeout).await;
@@ -539,121 +452,44 @@ async fn failed_attempt(h: &Rc<HostCtx>, f: &Rc<FaultCtx>, attempt: u32, sp: Opt
     h.sim.sleep(f.backoff(attempt)).await;
 }
 
-/// The clause text of the filer outage open at `now_ns` (for failure
-/// attribution when a miss fails fast).
-fn outage_clause(f: &FaultCtx, now_ns: u64) -> String {
-    f.set
-        .filer
-        .windows()
-        .iter()
-        .find(|w| w.kind == FaultKind::Outage && w.start_ns <= now_ns && now_ns < w.end_ns)
-        .map(|w| w.clause.clone())
-        .unwrap_or_else(|| "filer:outage".to_string())
-}
-
-/// One full miss exchange against the filer through the fault seams:
-/// request packet out, filer read service, payload packet back. Any leg
-/// can fail transiently; a failed leg consumes no service time.
-async fn try_exchange(
-    h: &Rc<HostCtx>,
-    blocks: &[BlockAddr],
-    sp: Option<&OpSpan>,
-) -> Result<(), FaultError> {
-    let n = blocks.len() as u32;
-    enter(sp, &h.sim, Phase::Net);
-    h.segment.try_transfer(Direction::ToServer, 0).await?;
-    enter(sp, &h.sim, Phase::Filer);
-    h.filer.try_read_blocks(blocks).await?;
-    enter(sp, &h.sim, Phase::Net);
-    h.segment
-        .try_transfer(Direction::FromServer, u64::from(n) * BLOCK_SIZE)
-        .await
-}
-
-/// Fetches a miss list from the filer under fault injection: outages
-/// degrade per [`DegradedPolicy`] (cache hits keep serving either way),
-/// transient failures retry with timeout + jittered exponential backoff
-/// up to `max_retries`. Returns whether the data ultimately arrived.
-async fn fetch_from_filer(
-    h: &Rc<HostCtx>,
-    f: &Rc<FaultCtx>,
-    blocks: &[BlockAddr],
-    sp: Option<&OpSpan>,
-) -> bool {
-    let now = h.sim.now().as_nanos();
-    let widx = f.acct.window_index_at(now);
-    f.state.window_op(widx);
-    let mut attempt: u32 = 0;
-    loop {
-        let now = h.sim.now().as_nanos();
-        if f.set.filer.outage_until(now).is_some() {
-            match f.cfg.degraded {
-                DegradedPolicy::Queue => {
-                    // Availability first: park the miss until the filer
-                    // returns, then fetch. Hits never reach this path.
-                    park_through_outage(h, f, sp).await;
-                    continue;
-                }
-                DegradedPolicy::FailFast | DegradedPolicy::Strict => {
-                    f.state.op_failed(&outage_clause(f, now));
-                    return false;
-                }
-            }
-        }
-        match try_exchange(h, blocks, sp).await {
-            Ok(()) => {
-                f.state.window_ok(widx);
-                return true;
-            }
-            Err(e) => {
-                if attempt >= f.cfg.max_retries {
-                    RobustnessState::bump(&f.state.timeouts);
-                    enter(sp, &h.sim, Phase::RetryBackoff);
-                    h.sim.sleep(f.op_timeout).await;
-                    f.state.op_failed(&e.clause);
-                    return false;
-                }
-                attempt += 1;
-                failed_attempt(h, f, attempt, sp).await;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Sharded remote tier (read-any / write-all, hedging, failover)
+// The storage backend (read-any / write-all, hedging, failover)
 // ---------------------------------------------------------------------------
 
-/// Fetches a miss list through the sharded remote tier: the list is
-/// partitioned by primary shard and each group is served **read-any**
-/// across its replica ring (optionally hedged). Returns whether every
-/// group's data arrived.
+/// Fetches a miss list from the backend: the list is partitioned by
+/// primary shard and each group is served **read-any** across its replica
+/// ring (optionally hedged). Returns whether every group's data arrived.
+/// With one shard — the default, the paper's single filer — the whole
+/// list is one group: "each I/O request uses one packet in each
+/// direction" (§5).
 async fn remote_fetch(h: &Rc<HostCtx>, blocks: &[BlockAddr], sp: Option<&OpSpan>) -> bool {
-    let router = h.remote.as_ref().expect("remote engaged").store.router();
-    // Window accounting mirrors `fetch_from_filer`, against the backend
-    // accounting schedule: filer-wide clauses and shard-local clauses each
-    // contribute one distinct window, so availability-per-window covers a
-    // single shard's outage as well as a fleet-wide one.
+    let router = h.remote.store.router();
+    // Window accounting against the backend accounting schedule:
+    // filer-wide clauses and shard-local clauses each contribute one
+    // distinct window, so availability-per-window covers a single shard's
+    // outage as well as a whole-backend one.
     let widx = h.fault.as_ref().map(|f| {
         let w = f.acct.window_index_at(h.sim.now().as_nanos());
         f.state.window_op(w);
         w
     });
-    let mut ok = true;
-    let mut group = h.take_buf();
-    for k in 0..router.shards() {
-        group.clear();
-        group.extend(blocks.iter().copied().filter(|b| router.primary(*b) == k));
-        if !group.is_empty() && !fetch_group(h, k, &group, sp).await {
-            ok = false;
+    let ok = if router.shards() == 1 {
+        fetch_group(h, 0, blocks, sp).await
+    } else {
+        let mut ok = true;
+        let mut group = h.take_buf();
+        for k in 0..router.shards() {
+            group.clear();
+            group.extend(blocks.iter().copied().filter(|b| router.primary(*b) == k));
+            if !group.is_empty() && !fetch_group(h, k, &group, sp).await {
+                ok = false;
+            }
         }
-    }
-    h.put_buf(group);
-    if ok {
-        if let Some(f) = &h.fault {
-            f.state
-                .window_ok(widx.expect("widx set when fault ctx exists"));
-        }
+        h.put_buf(group);
+        ok
+    };
+    if let (true, Some(f), Some(w)) = (ok, &h.fault, widx) {
+        f.state.window_ok(w);
     }
     ok
 }
@@ -661,15 +497,16 @@ async fn remote_fetch(h: &Rc<HostCtx>, blocks: &[BlockAddr], sp: Option<&OpSpan>
 /// Serves one primary-shard group: pick the first live replica in ring
 /// order (counting a failover when it is not the primary), optionally
 /// hedge against the next live one, and retry with timeout + jittered
-/// backoff on transient failures. A whole-ring outage degrades per
-/// [`DegradedPolicy`], exactly like the single-filer path.
+/// backoff on transient failures, up to `max_retries`. A whole-ring
+/// outage degrades per [`DegradedPolicy`]; cache hits keep serving
+/// either way.
 async fn fetch_group(
     h: &Rc<HostCtx>,
     primary: u16,
     blocks: &[BlockAddr],
     sp: Option<&OpSpan>,
 ) -> bool {
-    let r = h.remote.as_ref().expect("remote engaged");
+    let r = &h.remote;
     let router = r.store.router();
     let ring = |j: u16| (primary + j) % router.shards();
     let mut attempt: u32 = 0;
@@ -679,20 +516,13 @@ async fn fetch_group(
             .map(ring)
             .find(|&s| r.store.live_at(s, now));
         let Some(first) = first else {
-            // The whole replica set is down: no replica can serve. Outages
-            // only exist under a fault plan, so the fault ctx is present.
+            // The whole replica set is down: no replica can serve.
             let f = h.fault.as_ref().expect("outages require a fault plan");
             match f.cfg.degraded {
                 DegradedPolicy::Queue => {
-                    RobustnessState::bump(&f.state.queued_ops);
-                    let clear = (0..router.replicas())
-                        .map(ring)
-                        .filter_map(|s| r.store.outage_until(s, now))
-                        .min()
-                        .unwrap_or(now);
-                    let wait = SimTime::from_nanos(clear).saturating_sub(h.sim.now());
-                    enter(sp, &h.sim, Phase::DegradedPark);
-                    h.sim.sleep(wait.max(SimTime::from_nanos(1))).await;
+                    // Availability first: park the miss until a replica
+                    // returns, then fetch. Hits never reach this path.
+                    park_until_live(h, (0..router.replicas()).map(ring), sp).await;
                     continue;
                 }
                 DegradedPolicy::FailFast | DegradedPolicy::Strict => {
@@ -731,44 +561,32 @@ async fn fetch_group(
                     return false;
                 }
                 attempt += 1;
-                let f = Rc::clone(f);
-                failed_attempt(h, &f, attempt, sp).await;
+                failed_attempt(h, f, attempt, sp).await;
             }
         }
     }
 }
 
 /// One full miss exchange against shard `shard` over this host's segment
-/// to it. Fault-free hosts use the plain (infallible) legs so the exchange
-/// shape matches the single-filer path exactly.
+/// to it: request packet out, filer read service, payload packet back.
+/// Any leg can fail transiently; a failed leg consumes no service time.
+/// Without a fault plan each leg is the plain, infallible one.
 async fn shard_exchange(
     h: &Rc<HostCtx>,
     shard: u16,
     blocks: &[BlockAddr],
     sp: Option<&OpSpan>,
 ) -> Result<(), FaultError> {
-    let r = h.remote.as_ref().expect("remote engaged");
-    let seg = &r.segments[usize::from(shard)];
-    let filer = r.store.filer(shard);
+    let seg = &h.remote.segments[usize::from(shard)];
+    let filer = h.remote.store.filer(shard);
     let n = blocks.len() as u32;
-    if h.fault.is_some() {
-        enter(sp, &h.sim, Phase::Net);
-        seg.try_transfer(Direction::ToServer, 0).await?;
-        enter(sp, &h.sim, Phase::Filer);
-        filer.try_read_blocks(blocks).await?;
-        enter(sp, &h.sim, Phase::Net);
-        seg.try_transfer(Direction::FromServer, u64::from(n) * BLOCK_SIZE)
-            .await
-    } else {
-        enter(sp, &h.sim, Phase::Net);
-        seg.transfer(Direction::ToServer, 0).await;
-        enter(sp, &h.sim, Phase::Filer);
-        filer.read_blocks(blocks).await;
-        enter(sp, &h.sim, Phase::Net);
-        seg.transfer(Direction::FromServer, u64::from(n) * BLOCK_SIZE)
-            .await;
-        Ok(())
-    }
+    enter(sp, &h.sim, Phase::Net);
+    seg.try_transfer(Direction::ToServer, 0).await?;
+    enter(sp, &h.sim, Phase::Filer);
+    filer.try_read_blocks(blocks).await?;
+    enter(sp, &h.sim, Phase::Net);
+    seg.try_transfer(Direction::FromServer, u64::from(n) * BLOCK_SIZE)
+        .await
 }
 
 /// Shared state of one hedged-read race (see [`hedged_exchange`]).
@@ -881,7 +699,7 @@ async fn hedged_exchange(
                 st.arm_skipped();
                 return;
             }
-            let store = Rc::clone(&h2.remote.as_ref().expect("remote engaged").store);
+            let store = Rc::clone(&h2.remote.store);
             store.note_hedge_launched();
             let res = shard_exchange(&h2, second, &buf, None).await;
             h2.put_buf(buf);
@@ -908,7 +726,7 @@ async fn hedged_exchange(
 }
 
 /// The clause text of the outage open on `shard` at `now_ns` (for failure
-/// attribution).
+/// attribution when a miss fails fast).
 fn shard_outage_clause(r: &RemoteCtx, shard: u16, now_ns: u64) -> String {
     r.store
         .faults(shard)
@@ -919,34 +737,35 @@ fn shard_outage_clause(r: &RemoteCtx, shard: u16, now_ns: u64) -> String {
         .unwrap_or_else(|| format!("shard{shard}:outage"))
 }
 
-/// **Write-all** through the sharded tier: the write acknowledges only
-/// when every *live* replica has accepted it (fanned out concurrently, so
-/// the ack latency is the slowest live replica, not the sum); replicas
-/// down at write time are recorded as under-replicated for the recovery
-/// pass. If the whole replica set is down the write parks until a replica
-/// returns — an acknowledged write is never dropped, matching the
-/// single-filer flush path's durability-over-latency stance.
-async fn remote_write_all(h: &Rc<HostCtx>, addr: BlockAddr, sp: Option<&OpSpan>) {
-    let router = h.remote.as_ref().expect("remote engaged").store.router();
-    loop {
-        let r = h.remote.as_ref().expect("remote engaged");
-        let now = h.sim.now().as_nanos();
-        if router.replica_set(addr).any(|s| r.store.live_at(s, now)) {
-            break;
-        }
-        let f = h.fault.as_ref().expect("outages require a fault plan");
-        RobustnessState::bump(&f.state.queued_ops);
-        let clear = router
-            .replica_set(addr)
-            .filter_map(|s| r.store.outage_until(s, now))
-            .min()
-            .unwrap_or(now);
-        let wait = SimTime::from_nanos(clear).saturating_sub(h.sim.now());
-        enter(sp, &h.sim, Phase::DegradedPark);
-        h.sim.sleep(wait.max(SimTime::from_nanos(1))).await;
+/// Sends one dirty block to the backend, **write-all**: data packet out,
+/// buffered filer write, acknowledgement back, on every replica. The
+/// write acknowledges only when every *live* replica has accepted it
+/// (fanned out concurrently, so the ack latency is the slowest live
+/// replica, not the sum); replicas down at write time are recorded as
+/// under-replicated for the recovery pass. If the whole replica set is
+/// down the write parks until a replica returns. Dirty data is never
+/// dropped: durability over latency, whatever the degraded policy.
+/// Flushing from flash first pays a flash read (the data must come off
+/// the device) when configured.
+async fn flush_to_filer(h: &Rc<HostCtx>, addr: BlockAddr, src: FlushSource, sp: Option<&OpSpan>) {
+    if src == FlushSource::Flash && h.cfg.charge_flash_read_on_writeback {
+        // The data must come off the device before it can be sent.
+        h.dev.read(addr, sp).await;
     }
+    let r = &h.remote;
+    let router = r.store.router();
     let mut ring = router.replica_set(addr);
     let first = ring.next().expect("replication factor >= 1");
+    if ring.len() == 0 {
+        // The only replica: its write parks through outages itself.
+        return write_one_replica(h, first, addr, sp).await;
+    }
+    while !router
+        .replica_set(addr)
+        .any(|s| r.store.live_at(s, h.sim.now().as_nanos()))
+    {
+        park_until_live(h, router.replica_set(addr), sp).await;
+    }
     let mut handles = Vec::with_capacity(ring.len());
     for shard in ring {
         let h2 = Rc::clone(h);
@@ -964,51 +783,52 @@ async fn remote_write_all(h: &Rc<HostCtx>, addr: BlockAddr, sp: Option<&OpSpan>)
     }
 }
 
-/// Writes one block to one replica: unbounded retries on transient
-/// failures (capped backoff exponent, like the flush path), but a replica
-/// that is *down* — initially or mid-retry — is skipped and the copy is
-/// recorded as under-replicated.
+/// Writes one block to one replica, retrying transient failures without
+/// bound (the backoff exponent is capped). A replica that is *down* —
+/// initially or mid-retry — is skipped and the copy recorded as
+/// under-replicated, unless it is the block's only replica: then the
+/// write parks until it returns and retries, keeping its attempt count.
 async fn write_one_replica(h: &Rc<HostCtx>, shard: u16, addr: BlockAddr, sp: Option<&OpSpan>) {
-    let r = h.remote.as_ref().expect("remote engaged");
+    let r = &h.remote;
     let mut attempt: u32 = 0;
     loop {
         let now = h.sim.now().as_nanos();
         if !r.store.live_at(shard, now) {
-            // This replica is down: ack without it and leave the copy for
-            // recovery re-replication.
+            if r.store.router().replicas() == 1 {
+                park_until_live(h, std::iter::once(shard), sp).await;
+                continue;
+            }
+            // Ack without this replica and leave the copy for recovery
+            // re-replication.
             r.store.mark_under_replicated(shard, addr, now);
             return;
         }
         let seg = &r.segments[usize::from(shard)];
         let filer = r.store.filer(shard);
-        if h.fault.is_none() {
-            enter(sp, &h.sim, Phase::Net);
-            seg.transfer(Direction::ToServer, BLOCK_SIZE).await;
+        enter(sp, &h.sim, Phase::Net);
+        let mut sent = seg.try_transfer(Direction::ToServer, BLOCK_SIZE).await;
+        if sent.is_ok() {
             enter(sp, &h.sim, Phase::Filer);
-            filer.write(1).await;
-            enter(sp, &h.sim, Phase::Net);
-            seg.transfer(Direction::FromServer, 0).await;
-            return;
+            sent = filer.try_write(1).await;
         }
-        let sent = async {
+        if sent.is_ok() {
             enter(sp, &h.sim, Phase::Net);
-            seg.try_transfer(Direction::ToServer, BLOCK_SIZE).await?;
-            enter(sp, &h.sim, Phase::Filer);
-            filer.try_write(1).await?;
-            enter(sp, &h.sim, Phase::Net);
-            seg.try_transfer(Direction::FromServer, 0).await
+            sent = seg.try_transfer(Direction::FromServer, 0).await;
         }
-        .await;
         match sent {
             Ok(()) => return,
             Err(_) => {
                 attempt += 1;
-                let f = Rc::clone(h.fault.as_ref().expect("checked above"));
-                failed_attempt(h, &f, attempt, sp).await;
+                let f = h.fault.as_ref().expect("fault-free exchanges cannot fail");
+                failed_attempt(h, f, attempt, sp).await;
             }
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Flush machinery
+// ---------------------------------------------------------------------------
 
 /// Flushes one dirty RAM block down a level (the RAM tier's writeback
 /// unit): naive writes it to flash; lookaside writes it to the filer and

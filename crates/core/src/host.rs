@@ -6,7 +6,6 @@ use std::rc::{Rc, Weak};
 use fcache_cache::{BlockCache, InsertOutcome, UnifiedCache, UnifiedInsert};
 use fcache_des::Sim;
 use fcache_device::IoLog;
-use fcache_filer::Filer;
 use fcache_net::Segment;
 use fcache_types::{BlockAddr, FxHashSet, HostId};
 
@@ -66,18 +65,16 @@ impl Peers {
     }
 }
 
-/// This host's view of the sharded remote tier: the shared store plus one
+/// This host's view of the storage backend: the shared store plus one
 /// private segment per shard (the host's network link to that backend).
-/// Present only when [`SimConfig::remote_engaged`] — a single-shard,
-/// replication-1, shard-fault-free run keeps the plain `filer`/`segment`
-/// path bit-identical to the pre-remote engine (PERF.md invariant 11).
+/// The default topology is one shard with one replica — the paper's
+/// single filer behind one wire (PERF.md invariant 11).
 pub(crate) struct RemoteCtx {
-    /// The shared sharded backend (filers, schedules, replication
-    /// bookkeeping); one instance per run.
+    /// The shared backend (filers, schedules, replication bookkeeping);
+    /// one instance per run.
     pub store: Rc<ShardedStore>,
-    /// Per-shard segments, indexed by shard. `segments[0]` is also the
-    /// host's legacy `segment` handle (same `Rc`'d stats cells), so the
-    /// remote aggregation must sum these — not `segment` per host.
+    /// Per-shard segments, indexed by shard (shared across a fan-in
+    /// group).
     pub segments: Vec<Segment>,
     /// Scaled hedge delay in simulated ns (`None` disables hedging).
     pub hedge_ns: Option<u64>,
@@ -104,10 +101,6 @@ pub(crate) struct HostCtx {
     pub flash: RefCell<BlockCache>,
     /// Unified cache (only for [`crate::Architecture::Unified`]).
     pub unified: Option<RefCell<UnifiedCache>>,
-    /// This host's private segment to the filer.
-    pub segment: Segment,
-    /// The shared file server.
-    pub filer: Filer,
     /// Shared metrics sink.
     pub metrics: Metrics,
     /// Flash I/O log (for Figure 1 replay; usually disabled). The device
@@ -141,9 +134,9 @@ pub(crate) struct HostCtx {
     /// fault-aware path collapses to its pre-fault form (see
     /// `crate::robust`).
     pub fault: Option<Rc<FaultCtx>>,
-    /// Sharded remote tier (router, replicas, per-shard segments). `None`
-    /// — the default — keeps the single-filer read/write paths.
-    pub remote: Option<RemoteCtx>,
+    /// The storage backend (router, replicas, per-shard segments); every
+    /// miss and write-back goes through it.
+    pub remote: RemoteCtx,
     /// Sim-time telemetry collector (op spans, unified windows, span
     /// stream). `None` — the default — makes every instrumentation hook a
     /// no-op, the literal pre-telemetry code path (PERF.md invariant 12).
@@ -282,10 +275,7 @@ impl HostCtx {
             Some(peers) => peers.hosts().for_each(|h| h.reset_stats()),
             None => self.reset_stats(),
         }
-        self.filer.reset_stats();
-        if let Some(remote) = &self.remote {
-            remote.store.reset_service_stats();
-        }
+        self.remote.store.reset_service_stats();
     }
 
     fn reset_stats(&self) {
@@ -298,13 +288,8 @@ impl HostCtx {
         // peers' resets just repeat harmlessly (the whole warmup-end
         // sequence is synchronous); in a fleet each host resets its own.
         self.metrics.reset();
-        self.segment.reset_stats();
-        if let Some(remote) = &self.remote {
-            // Per-shard wires; segments[0] shares cells with `segment`
-            // above, so its reset just repeats harmlessly.
-            for seg in &remote.segments {
-                seg.reset_stats();
-            }
+        for seg in &self.remote.segments {
+            seg.reset_stats();
         }
         self.dev.reset_stats();
         // Robustness counters are NOT reset: like `device_windows` and

@@ -94,7 +94,7 @@ pub use arch::Architecture;
 pub use config::{FlashTiming, SimConfig};
 pub use devsvc::{DeviceService, DeviceStatsSnapshot};
 pub use experiment::{run_sweep, SweepJob, Workbench, WorkloadSpec};
-pub use fcache_remote::{RemoteStats, RemoteStore, Router, ShardedStore};
+pub use fcache_remote::{RemoteStats, Router, ShardedStore};
 pub use fcache_types::FleetTopology;
 pub use fleet::FleetPlan;
 pub use histogram::{HistogramSnapshot, LatencyHistogram};

@@ -7,9 +7,10 @@ use fcache_des::SimTime;
 use fcache_device::{IoLogEntry, WindowStat};
 use fcache_filer::FilerStats;
 use fcache_net::SegmentStats;
-use fcache_remote::RemoteStats;
+use fcache_remote::{RemoteStats, Router};
 use fcache_types::FleetTopology;
 
+use crate::config::SimConfig;
 use crate::devsvc::DeviceStatsSnapshot;
 use crate::metrics::MetricsSnapshot;
 use crate::robust::RobustnessStats;
@@ -172,7 +173,8 @@ pub struct ShardServiceStats {
 }
 
 /// Remote-tier section of a [`SimReport`]. `shards == 0` (the default)
-/// means the run never engaged the sharded backend.
+/// means the run used the plain single filer, so the report shows no
+/// shard section.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShardStats {
     /// Number of backend shards (0 when disengaged).
@@ -190,6 +192,29 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
+    /// The section a run reports: the backend's topology and tallies when
+    /// the configuration engages the sharded tier
+    /// ([`SimConfig::remote_engaged`]), else the empty section of a plain
+    /// single-filer run.
+    pub(crate) fn for_run(
+        cfg: &SimConfig,
+        router: Router,
+        hedge_ns: u64,
+        per_shard: Vec<ShardServiceStats>,
+        remote: RemoteStats,
+    ) -> Self {
+        if !cfg.remote_engaged() {
+            return Self::default();
+        }
+        Self {
+            shards: router.shards(),
+            replicas: router.replicas(),
+            hedge_ns,
+            per_shard,
+            remote,
+        }
+    }
+
     /// True when the run used the sharded remote tier.
     pub fn engaged(&self) -> bool {
         self.shards > 0

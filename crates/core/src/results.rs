@@ -442,8 +442,8 @@ pub fn report_to_json(r: &SimReport) -> Json {
             },
         )
         .field("robustness", robustness_to_json(&r.robustness));
-    // The shard section appears only when the run engaged the remote tier,
-    // so single-filer rows keep their exact pre-remote encoding.
+    // The shard section appears only for a sharded topology (or a shard
+    // fault clause), so single-filer rows keep their exact encoding.
     let mut j = j;
     if r.shard.engaged() {
         j = j.field("shard", shard_to_json(&r.shard));

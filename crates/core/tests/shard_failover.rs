@@ -1,11 +1,13 @@
-//! Sharded remote tier end to end: the single-shard/replication-1 config
-//! must be bit-identical to the plain filer engine (invariant 11); a
-//! single-shard outage at replication >= 2 must lose zero acknowledged
-//! writes and re-replicate the under-replicated blocks once the shard
-//! returns; hedged reads must engage (and stay deterministic) when a
-//! hedge delay is configured.
+//! Sharded remote tier end to end: the single-shard/replication-1 store
+//! must be the plain filer engine (invariant 11); a single-shard outage
+//! must lose zero acknowledged writes — re-replicated once the shard
+//! returns at replication >= 2, parked until it returns at replication 1;
+//! hedged reads must engage (and stay deterministic) when a hedge delay
+//! is configured.
 
-use fcache::{run_trace, DegradedPolicy, SimConfig, Workbench, WorkloadSpec};
+use fcache::{
+    run_trace, DegradedPolicy, ShardStats, SimConfig, SimReport, Workbench, WorkloadSpec,
+};
 use fcache_des::SimTime;
 use fcache_types::{FaultPlan, Trace};
 
@@ -27,18 +29,33 @@ fn sharded(shards: u16, replicas: u16) -> SimConfig {
 
 #[test]
 fn single_shard_replication_one_is_the_filer_engine() {
-    // Invariant 11: shards=1 x replicas=1 with no shard fault clauses does
-    // not engage the remote tier at all — the run is the pre-remote filer
-    // path, bit for bit, including the DES event count.
+    // Invariant 11: the single filer is the 1-shard x 1-replica store, one
+    // engine path. Its fault-free and faulted runs are pinned against
+    // goldens recorded on the former separate filer path (`GOLDENS` in
+    // device_service.rs, `faulted_single_filer_runs_match_goldens` in
+    // fault_injection.rs). Here: the seeds follow the topology, not the
+    // clause target, so a transient fault on `shard0` — the only shard —
+    // draws exactly what the same fault on `filer` draws; only the
+    // report's shard section differs.
     let trace = workbench_trace();
-    let plain = run_trace(&SimConfig::baseline().scaled_down(SCALE), &trace).expect("plain");
-    let single = run_trace(&sharded(1, 1), &trace).expect("single-shard");
+    let run = |spec: &str| {
+        let mut cfg = sharded(1, 1);
+        cfg.fault_plan = FaultPlan::parse(spec).expect("valid spec");
+        run_trace(&cfg, &trace).expect("1x1 run")
+    };
+    let filer = run("filer:err0.3@20s-80s");
+    let shard = run("shard0:err0.3@20s-80s");
+    assert!(filer.robustness.retries > 0, "the fault must bite");
     assert!(
-        !single.shard.engaged(),
-        "1x1 must not engage the remote tier"
+        !filer.shard.engaged(),
+        "a plain 1x1 run shows no shard section"
     );
-    assert_eq!(plain.events, single.events, "event counts must match");
-    assert_eq!(format!("{plain:?}"), format!("{single:?}"));
+    assert_eq!(shard.shard.shards, 1, "a shard clause shows the section");
+    let without_section = SimReport {
+        shard: ShardStats::default(),
+        ..shard.clone()
+    };
+    assert_eq!(format!("{filer:?}"), format!("{without_section:?}"));
 }
 
 #[test]
@@ -136,6 +153,27 @@ fn replication_one_fails_where_replication_two_survives() {
         "R=1 has nowhere to fail over to"
     );
     assert_eq!(r2.robustness.failed_ops, 0, "R=2 survives the same outage");
+}
+
+#[test]
+fn replication_one_never_acknowledges_a_write_no_shard_holds() {
+    // At replication 1 a write whose only replica is down has no copy to
+    // fall back on: it parks until the shard returns and retries, like the
+    // single filer's flush path, instead of acknowledging with zero
+    // copies. Nothing goes under-replicated, so recovery has nothing to do.
+    let trace = workbench_trace();
+    let mut cfg = sharded(4, 1);
+    cfg.fault_plan = FaultPlan::parse("shard1:outage@40s-60s").expect("valid spec");
+    let r = run_trace(&cfg, &trace).expect("faulted R=1 run");
+    let rem = &r.shard.remote;
+    assert_eq!(rem.under_peak, 0, "no write may skip its only replica");
+    assert_eq!(rem.under_now, 0, "no acknowledged write is held nowhere");
+    assert_eq!(rem.re_replicated_blocks, 0, "nothing to re-replicate");
+    assert!(r.robustness.queued_ops > 0, "writes to the down shard park");
+    assert_eq!(
+        r.robustness.failed_ops, 0,
+        "the queue policy never gives up"
+    );
 }
 
 #[test]

@@ -267,34 +267,28 @@ impl Filer {
     /// at `sim.now()` and either fails (no service, no stats, no time),
     /// serves with inflated latency, or serves normally.
     pub async fn try_read_blocks(&self, blocks: &[BlockAddr]) -> Result<(), FaultError> {
-        match self.fault_effect() {
-            FaultEffect::Fail { clause, .. } => Err(FaultError { clause }),
-            FaultEffect::SlowBy(factor) => {
-                let t = self.draw_read_service_for(blocks);
-                self.sim.sleep(t.scale(factor)).await;
-                Ok(())
-            }
-            FaultEffect::None => {
-                self.read_blocks(blocks).await;
-                Ok(())
-            }
-        }
+        let slow = self.slowdown()?;
+        let t = self.draw_read_service_for(blocks);
+        self.sim.sleep(slow.map_or(t, |f| t.scale(f))).await;
+        Ok(())
     }
 
     /// Fault-aware [`Filer::write`]; same contract as
     /// [`Filer::try_read_blocks`].
     pub async fn try_write(&self, nblocks: u32) -> Result<(), FaultError> {
+        let slow = self.slowdown()?;
+        let t = self.draw_write_service(nblocks);
+        self.sim.sleep(slow.map_or(t, |f| t.scale(f))).await;
+        Ok(())
+    }
+
+    /// The fault effect in force, as a failure or an optional slowdown
+    /// factor.
+    fn slowdown(&self) -> Result<Option<f64>, FaultError> {
         match self.fault_effect() {
             FaultEffect::Fail { clause, .. } => Err(FaultError { clause }),
-            FaultEffect::SlowBy(factor) => {
-                let t = self.draw_write_service(nblocks);
-                self.sim.sleep(t.scale(factor)).await;
-                Ok(())
-            }
-            FaultEffect::None => {
-                self.write(nblocks).await;
-                Ok(())
-            }
+            FaultEffect::SlowBy(factor) => Ok(Some(factor)),
+            FaultEffect::None => Ok(None),
         }
     }
 }

@@ -23,6 +23,7 @@
 //! time as [`SegmentStats::queue_wait`].
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
 use std::rc::Rc;
 
 use fcache_des::{Resource, Sim, SimTime};
@@ -184,59 +185,58 @@ impl Segment {
 
     /// Transfers one packet with `payload_bytes` of block data in the given
     /// direction, waiting FIFO for the wire and holding it for the packet's
-    /// wire time.
+    /// wire time. Ignores any attached fault schedule.
     pub async fn transfer(&self, dir: Direction, payload_bytes: u64) {
-        let chan = match dir {
-            Direction::ToServer => &self.to_server,
-            Direction::FromServer => &self.from_server,
-        };
-        let queued_at = self.sim.now();
-        let _guard = chan.acquire().await;
-        let waited = self.sim.now() - queued_at;
-        let t = self.cfg.packet_time(payload_bytes);
-        self.sim.sleep(t).await;
-        let mut s = self.stats.get();
-        s.packets += 1;
-        s.payload_bytes += payload_bytes;
-        s.busy += t;
-        if waited > SimTime::ZERO {
-            s.queue_wait += waited;
-            s.queue_waits += 1;
-        }
-        self.stats.set(s);
+        let carried = self.carry(dir, payload_bytes, None).await;
+        debug_assert!(carried.is_ok(), "a carry without faults cannot fail");
     }
 
     /// Fault-aware [`Segment::transfer`]: after winning the wire, consults
     /// the direction's schedule at `sim.now()` and either drops the packet
     /// (no wire time, no stats), carries it with inflated wire time, or
-    /// carries it normally.
-    pub async fn try_transfer(&self, dir: Direction, payload_bytes: u64) -> Result<(), FaultError> {
-        let Some(f) = &self.faults else {
-            self.transfer(dir, payload_bytes).await;
-            return Ok(());
-        };
+    /// carries it normally. Without a schedule it is exactly `transfer`.
+    pub fn try_transfer(
+        &self,
+        dir: Direction,
+        payload_bytes: u64,
+    ) -> impl Future<Output = Result<(), FaultError>> + '_ {
+        self.carry(dir, payload_bytes, self.faults.as_deref())
+    }
+
+    /// One packet over the wire, consulting `faults` (when given) once the
+    /// wire is won. One flat future: the engine's every backend exchange
+    /// polls through it.
+    async fn carry(
+        &self,
+        dir: Direction,
+        payload_bytes: u64,
+        faults: Option<&SegmentFaults>,
+    ) -> Result<(), FaultError> {
         let chan = match dir {
             Direction::ToServer => &self.to_server,
             Direction::FromServer => &self.from_server,
         };
-        let sched = match dir {
-            Direction::ToServer => &f.to_server,
-            Direction::FromServer => &f.from_server,
-        };
         let queued_at = self.sim.now();
         let _guard = chan.acquire().await;
         let waited = self.sim.now() - queued_at;
-        let effect = {
-            let mut rng = f.rng.borrow_mut();
-            sched.effect_at(self.sim.now().as_nanos(), &mut || {
-                rng.gen_range(0.0f64..1.0)
-            })
-        };
-        let t = match effect {
-            FaultEffect::Fail { clause, .. } => return Err(FaultError { clause }),
-            FaultEffect::SlowBy(factor) => self.cfg.packet_time(payload_bytes).scale(factor),
-            FaultEffect::None => self.cfg.packet_time(payload_bytes),
-        };
+        let mut t = self.cfg.packet_time(payload_bytes);
+        if let Some(f) = faults {
+            let sched = match dir {
+                Direction::ToServer => &f.to_server,
+                Direction::FromServer => &f.from_server,
+            };
+            let effect = {
+                let mut rng = f.rng.borrow_mut();
+                sched.effect_at(self.sim.now().as_nanos(), &mut || {
+                    rng.gen_range(0.0f64..1.0)
+                })
+            };
+            match effect {
+                FaultEffect::Fail { clause, .. } => return Err(FaultError { clause }),
+                FaultEffect::SlowBy(factor) => t = t.scale(factor),
+                FaultEffect::None => {}
+            }
+        }
         self.sim.sleep(t).await;
         let mut s = self.stats.get();
         s.packets += 1;

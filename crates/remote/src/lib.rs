@@ -2,20 +2,20 @@
 //! per-shard backend stores.
 //!
 //! The paper's client cache fronts a single filer; a production storage
-//! client fronts a *fleet* of them. This crate models that fleet:
+//! client fronts a *fleet* of them. This crate models both with one type:
+//! the single filer is simply a one-shard, one-replica store.
 //!
 //! - a [`Router`] shards block identity by hash range across K backend
 //!   shards and assigns each block an R-long replica ring
-//!   (`primary, primary+1, …` mod K);
+//!   (`primary, primary+1, …` mod K); with K = 1 it has a single range;
 //! - a [`ShardedStore`] holds one [`Filer`] per shard (each with its own
 //!   content-hash seed, so two shards disagree about which blocks read
 //!   fast) plus each shard's resolved [`FaultSchedule`], and keeps the
 //!   replication bookkeeping the engine's read/write paths drive:
 //!   hedged-read counters, failover counts, and the under-replicated set
 //!   a recovery pass re-replicates when a failed shard returns;
-//! - the [`RemoteStore`] trait is the seam those paths compile against,
-//!   so alternative backends (a real object store, a different placement
-//!   scheme) can slot in without touching the engine.
+//! - [`BackendSeeds`] derives every backend random stream from the
+//!   topology: a one-shard store keeps the single filer's seeds.
 //!
 //! Replication semantics are **read-any / write-all**: a read is served by
 //! whichever replica answers (optionally hedged after a configurable
@@ -116,16 +116,61 @@ impl Iterator for ReplicaSet {
 
 impl ExactSizeIterator for ReplicaSet {}
 
-/// Per-shard filer configuration: the base timing with a shard-specific
-/// content-hash seed, so each shard has its own fast/slow luck (two
-/// replicas of one block can disagree — reading from a failover replica
-/// really does change the draw, like a different server's cache would).
-pub fn shard_filer_config(base: FilerConfig, shard: u16, run_seed: u64) -> FilerConfig {
-    FilerConfig {
-        seed: mix64(
-            base.seed ^ run_seed.rotate_left(17) ^ (u64::from(shard) << 16) ^ 0x51a2_fa17_0000_0011,
-        ),
-        ..base
+/// The seeds of a run's backend random streams, derived from the
+/// topology so that none of them is a knob.
+///
+/// A one-shard store keeps the single filer's seeds: the content-hash
+/// seed `filer_seed ^ run_seed.rotate_left(17)`, the filer fault seed
+/// `mix64(run_seed ^ 0xf11e_fa17_0000_0001)`, and per host `i` the segment
+/// fault seed `mix64(run_seed ^ i << 32 ^ 0x5e97_fa17_0000_0002)`. A
+/// multi-shard store gives each shard its own streams, keyed by the shard
+/// index, so two replicas of one block can disagree about its luck —
+/// reading from a failover replica really does change the draw. (Its
+/// content-hash seed does not depend on the run seed.)
+#[derive(Clone, Copy, Debug)]
+pub struct BackendSeeds {
+    run_seed: u64,
+    sharded: bool,
+}
+
+impl BackendSeeds {
+    /// The seeds of a run with `run_seed` against `router`'s topology.
+    pub fn new(router: Router, run_seed: u64) -> Self {
+        Self {
+            run_seed,
+            sharded: router.shards() > 1,
+        }
+    }
+
+    /// Shard `k`'s filer configuration: the base timing with its
+    /// content-hash seed derived from the configured `base.seed`.
+    pub fn filer_config(&self, base: FilerConfig, shard: u16) -> FilerConfig {
+        let seed = if self.sharded {
+            mix64(base.seed ^ (u64::from(shard) << 16) ^ 0x51a2_fa17_0000_0011)
+        } else {
+            base.seed ^ self.run_seed.rotate_left(17)
+        };
+        FilerConfig { seed, ..base }
+    }
+
+    /// Seed of shard `k`'s filer fault draws.
+    pub fn filer_faults(&self, shard: u16) -> u64 {
+        if self.sharded {
+            mix64(self.run_seed ^ (u64::from(shard) << 16) ^ 0x51a2_fa17_0000_0012)
+        } else {
+            mix64(self.run_seed ^ 0xf11e_fa17_0000_0001)
+        }
+    }
+
+    /// Seed of the fault draws on host `host`'s wire to shard `k` (a
+    /// fan-in group's wires are keyed by its leader).
+    pub fn segment_faults(&self, host: u16, shard: u16) -> u64 {
+        let host = u64::from(host) << 32;
+        if self.sharded {
+            mix64(self.run_seed ^ host ^ (u64::from(shard) << 16) ^ 0x5e97_fa17_0000_0012)
+        } else {
+            mix64(self.run_seed ^ host ^ 0x5e97_fa17_0000_0002)
+        }
     }
 }
 
@@ -170,24 +215,6 @@ pub struct RemoteStats {
     pub under_time_ns: u64,
 }
 
-/// The seam the engine's sharded read/write paths compile against:
-/// topology, per-shard service handles, per-shard fault schedules, and the
-/// replication bookkeeping. One instance is shared by every host in a run.
-pub trait RemoteStore {
-    /// The placement topology.
-    fn router(&self) -> Router;
-    /// Shard `k`'s service model.
-    fn filer(&self, shard: u16) -> &Filer;
-    /// Shard `k`'s resolved fault schedule (empty when the run injects
-    /// nothing there).
-    fn faults(&self, shard: u16) -> &FaultSchedule;
-    /// Shard `k`'s service counters.
-    fn shard_stats(&self, shard: u16) -> FilerStats;
-    /// Replication-layer counters; an under-replicated interval still open
-    /// at `now_ns` is counted up to `now_ns`.
-    fn stats(&self, now_ns: u64) -> RemoteStats;
-}
-
 #[derive(Default)]
 struct Counters {
     hedges_launched: Cell<u64>,
@@ -201,7 +228,8 @@ struct Counters {
     under_time_ns: Cell<u64>,
 }
 
-/// The concrete sharded backend: K filers behind a [`Router`].
+/// The storage backend: K filers behind a [`Router`]. The single filer
+/// of the paper's setup is the one-shard, one-replica store.
 ///
 /// Single-threaded like the rest of the simulator; shared via `Rc`.
 pub struct ShardedStore {
@@ -236,6 +264,49 @@ impl ShardedStore {
             under,
             under_total: Cell::new(0),
             open_since: Cell::new(None),
+        }
+    }
+
+    /// The placement topology.
+    pub fn router(&self) -> Router {
+        self.router
+    }
+
+    /// Shard `k`'s service model.
+    pub fn filer(&self, shard: u16) -> &Filer {
+        &self.filers[usize::from(shard)]
+    }
+
+    /// Shard `k`'s resolved fault schedule (empty when the run injects
+    /// nothing there).
+    pub fn faults(&self, shard: u16) -> &FaultSchedule {
+        &self.faults[usize::from(shard)]
+    }
+
+    /// Shard `k`'s service counters.
+    pub fn shard_stats(&self, shard: u16) -> FilerStats {
+        self.filers[usize::from(shard)].stats()
+    }
+
+    /// Replication-layer counters; an under-replicated interval still open
+    /// at `now_ns` is counted up to `now_ns`.
+    pub fn stats(&self, now_ns: u64) -> RemoteStats {
+        let c = &self.counters;
+        let mut under_time_ns = c.under_time_ns.get();
+        if let Some(since) = self.open_since.get() {
+            under_time_ns += now_ns.saturating_sub(since);
+        }
+        RemoteStats {
+            hedges_launched: c.hedges_launched.get(),
+            hedges_won: c.hedges_won.get(),
+            hedges_cancelled: c.hedges_cancelled.get(),
+            failovers: c.failovers.get(),
+            re_replicated_blocks: c.re_replicated_blocks.get(),
+            re_replication_bytes: c.re_replication_bytes.get(),
+            under_intervals: c.under_intervals.get(),
+            under_peak: c.under_peak.get(),
+            under_now: self.under_total.get(),
+            under_time_ns,
         }
     }
 
@@ -348,44 +419,6 @@ impl ShardedStore {
     }
 }
 
-impl RemoteStore for ShardedStore {
-    fn router(&self) -> Router {
-        self.router
-    }
-
-    fn filer(&self, shard: u16) -> &Filer {
-        &self.filers[usize::from(shard)]
-    }
-
-    fn faults(&self, shard: u16) -> &FaultSchedule {
-        &self.faults[usize::from(shard)]
-    }
-
-    fn shard_stats(&self, shard: u16) -> FilerStats {
-        self.filers[usize::from(shard)].stats()
-    }
-
-    fn stats(&self, now_ns: u64) -> RemoteStats {
-        let c = &self.counters;
-        let mut under_time_ns = c.under_time_ns.get();
-        if let Some(since) = self.open_since.get() {
-            under_time_ns += now_ns.saturating_sub(since);
-        }
-        RemoteStats {
-            hedges_launched: c.hedges_launched.get(),
-            hedges_won: c.hedges_won.get(),
-            hedges_cancelled: c.hedges_cancelled.get(),
-            failovers: c.failovers.get(),
-            re_replicated_blocks: c.re_replicated_blocks.get(),
-            re_replication_bytes: c.re_replication_bytes.get(),
-            under_intervals: c.under_intervals.get(),
-            under_peak: c.under_peak.get(),
-            under_now: self.under_total.get(),
-            under_time_ns,
-        }
-    }
-}
-
 impl std::fmt::Debug for ShardedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedStore")
@@ -446,11 +479,26 @@ mod tests {
     #[test]
     fn shard_configs_skew_deterministically() {
         let base = FilerConfig::default();
-        let a = shard_filer_config(base, 0, 42);
-        let b = shard_filer_config(base, 1, 42);
+        // One shard keeps the single filer's seeds.
+        let one = BackendSeeds::new(Router::new(1, 1), 42);
+        assert_eq!(
+            one.filer_config(base, 0).seed,
+            base.seed ^ 42u64.rotate_left(17)
+        );
+        assert_eq!(one.filer_faults(0), mix64(42 ^ 0xf11e_fa17_0000_0001));
+        assert_eq!(
+            one.segment_faults(3, 0),
+            mix64(42 ^ (3 << 32) ^ 0x5e97_fa17_0000_0002)
+        );
+        // Several shards draw from per-shard streams.
+        let four = BackendSeeds::new(Router::new(4, 2), 42);
+        let a = four.filer_config(base, 0);
+        let b = four.filer_config(base, 1);
         assert_ne!(a.seed, b.seed);
-        assert_eq!(a.seed, shard_filer_config(base, 0, 42).seed);
+        assert_eq!(a.seed, four.filer_config(base, 0).seed);
         assert_eq!(a.fast_read, base.fast_read);
+        assert_ne!(four.filer_faults(0), four.filer_faults(1));
+        assert_ne!(four.segment_faults(0, 0), four.segment_faults(0, 1));
 
         let net = NetConfig::default();
         assert_eq!(shard_net_config(net, 0), net);
@@ -460,13 +508,9 @@ mod tests {
     fn store_with_outage() -> ShardedStore {
         let sim = Sim::new();
         let router = Router::new(2, 2);
+        let seeds = BackendSeeds::new(router, 1);
         let filers = (0..2)
-            .map(|k| {
-                Filer::new(
-                    sim.clone(),
-                    shard_filer_config(FilerConfig::default(), k, 1),
-                )
-            })
+            .map(|k| Filer::new(sim.clone(), seeds.filer_config(FilerConfig::default(), k)))
             .collect();
         let set = FaultPlan::parse("shard1:outage@10s-20s")
             .unwrap()
