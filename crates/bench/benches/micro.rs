@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use fcache::DeviceService;
 use fcache_bench::{
-    run_sweep, scale_from_env, Architecture, FlashTiming, SimConfig, Sweep, Workbench, Workload,
+    scale_from_env, Architecture, FlashTiming, Scenario, SimConfig, Sweep, Workbench, Workload,
     WorkloadSpec,
 };
 use fcache_cache::{BlockCache, LruList, UnifiedCache};
@@ -482,11 +482,19 @@ fn main() {
     let serial_wall = t0.elapsed().as_secs_f64();
     res.push("sweep4_serial_wall_s", serial_wall, "s");
 
-    let jobs: Vec<_> = cfgs.iter().map(|cfg| (cfg.clone(), &trace)).collect();
     let t0 = Instant::now();
-    let reports = run_sweep(&jobs, None);
+    let results = cfgs
+        .iter()
+        .enumerate()
+        .fold(Sweep::new(), |sweep, (i, cfg)| {
+            sweep.scenario(
+                format!("job{i}"),
+                Scenario::new(cfg.clone(), Workload::trace(&trace)),
+            )
+        })
+        .run();
     let parallel_wall = t0.elapsed().as_secs_f64();
-    assert!(reports.iter().all(|r| r.is_ok()));
+    assert!(results.iter().all(|item| item.is_ok()));
     res.push("sweep4_parallel_wall_s", parallel_wall, "s");
     res.push("sweep4_speedup", serial_wall / parallel_wall.max(1e-9), "x");
 

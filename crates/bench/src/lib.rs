@@ -17,9 +17,9 @@ use std::fs;
 use std::path::PathBuf;
 
 pub use fcache::{
-    read_rows, run_source, run_sweep, run_trace, sink_fn, Architecture, DecodedRow, FlashTiming,
-    JsonlSink, MemorySink, ResultRow, ResultSink, Scenario, SimConfig, SimReport, Sweep,
-    SweepResults, TeeSink, Workbench, Workload, WorkloadSpec, WritebackPolicy, REPORT_SCHEMA,
+    read_rows, run_source, run_trace, sink_fn, Architecture, DecodedRow, FlashTiming, JsonlSink,
+    MemorySink, ResultRow, ResultSink, Scenario, SimConfig, SimReport, Sweep, SweepResults,
+    TeeSink, Workbench, Workload, WorkloadSpec, WritebackPolicy, REPORT_SCHEMA,
 };
 pub use fcache_types::{ByteSize, Json, Trace, TraceReader, TraceSource};
 
@@ -36,7 +36,8 @@ pub use fcache_types::{ByteSize, Json, Trace, TraceReader, TraceSource};
 /// Panics if any simulation fails, naming the failing configuration's
 /// sweep label (a figure cannot be produced from a partial sweep).
 pub fn run_configs(wb: &Workbench, cfgs: &[SimConfig], trace: &Trace) -> Vec<SimReport> {
-    wb.run_sweep_with_trace(cfgs, trace)
+    wb.sweep(cfgs, Workload::trace(trace))
+        .run()
         .expect_reports("figure sweep")
 }
 

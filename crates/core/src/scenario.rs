@@ -2,15 +2,13 @@
 //! [`Workload`]s.
 //!
 //! Every experiment in this crate is "some configurations × some workload →
-//! reports". Historically that shape was spread over loose entry points
-//! ([`run_trace`], [`run_source`], [`run_sweep`](crate::run_sweep), the
-//! `Workbench` helpers),
-//! each hard-wiring one workload kind. This module is the composable layer
-//! they all route through now:
+//! reports". This module is the composable layer for that shape, over the
+//! engine primitives [`run_trace`] and [`run_source`] (the `Workbench`
+//! helpers build on it too):
 //!
 //! - a [`Workload`] names *what* to replay — a shared in-memory trace
 //!   ([`Workload::trace`]), a per-job regenerated stream
-//!   ([`Workload::stream`]), or a chunked `FCTRACE1` archive
+//!   ([`Workload::stream`]), or an archived `FCTRACE1` file
 //!   ([`Workload::file`]) — and every kind produces bit-identical
 //!   [`SimReport`]s for the same ops (pinned by
 //!   `tests/trace_streaming.rs` and `tests/sweep_determinism.rs`);
@@ -108,7 +106,7 @@ enum WorkloadKind<'a> {
 /// |---|---|---|
 /// | [`Workload::trace`] | O(trace), once | one shared borrow, zero copies |
 /// | [`Workload::stream`] | O(chunk) per job | each job regenerates its own stream |
-/// | [`Workload::file`] | O(chunk) per job | each job re-reads the archive |
+/// | [`Workload::file`] | O(chunk) per job | each job maps (or re-reads) the archive |
 pub struct Workload<'a> {
     kind: WorkloadKind<'a>,
 }
@@ -141,10 +139,12 @@ impl<'a> Workload<'a> {
         }
     }
 
-    /// Chunked replay of an archived `FCTRACE1` trace file: each run opens
-    /// the file and streams it through [`TraceReader`] with O(chunk)
-    /// resident memory. I/O and decode errors surface as
-    /// [`SimError::Source`].
+    /// Replay of an archived `FCTRACE1` trace file: each run opens and
+    /// maps the file, and every replay thread decodes its own ops straight
+    /// out of the mapping through a [`ByteReader`] cursor. Where the file
+    /// cannot be mapped, the run streams it through [`TraceReader`] in
+    /// bounded chunks instead. Either way no op buffer grows with the
+    /// trace. I/O and decode errors surface as [`SimError::Source`].
     pub fn file(path: impl Into<PathBuf>) -> Self {
         Self {
             kind: WorkloadKind::File(path.into()),

@@ -1,24 +1,30 @@
 //! Building and running a complete simulation from a configuration and a
 //! trace.
 //!
-//! Two replay paths share one engine:
+//! One replay loop drives the engine: a private `replay` spawns one task
+//! per `(host, thread)` slot, in slot order, and each task pulls its slot's
+//! ops in program order from a [`SlotCursor`]. Three cursor sources feed
+//! it:
 //!
-//! - [`run_trace`] replays an in-memory [`Trace`] through **per-thread
-//!   cursors**: one counting-sort index pass groups op indices by
-//!   `(host, thread)` slot, and each slot's task walks its span of the
-//!   shared order array. No per-thread `Vec<TraceOp>` clones exist — replay
-//!   memory beyond the shared trace is the 4-byte-per-op index, shared by
-//!   all threads.
-//! - [`run_source`] replays any [`TraceSource`] (streamed generation,
-//!   chunked `FCTRACE1` file reads) through bounded chunks fanned into
-//!   per-thread queues, so replay memory is O(chunk) plus transient
-//!   inter-thread skew — independent of trace length.
+//! - [`run_trace`] replays an in-memory [`Trace`] through **index
+//!   cursors**: one counting-sort pass groups op indices by slot, and each
+//!   slot's cursor walks its span of the shared order array. No per-thread
+//!   `Vec<TraceOp>` clones exist — replay memory beyond the shared trace is
+//!   the 4-byte-per-op index.
+//! - [`run_source`] over a random-access [`TraceSource`] (a mapped
+//!   `FCTRACE1` archive, an in-memory slice) replays through the source's
+//!   own [`TraceSource::fork_slot`] cursors, decoding straight out of it.
+//! - [`run_source`] over a sequential source (streamed generation,
+//!   buffered file reads) replays through **feed cursors** over one shared
+//!   chunk feed: bounded chunks fanned into per-slot spill queues, so
+//!   replay memory is O(chunk) plus bounded inter-thread skew — independent
+//!   of trace length.
 //!
-//! Both paths spawn one task per `(host, thread)` slot in slot order and
-//! deliver each thread's ops in trace order, so they produce bit-identical
-//! [`SimReport`]s (asserted by `tests/trace_streaming.rs`).
+//! Every feed delivers each thread's ops in trace order to the same slot
+//! task, so all three produce bit-identical [`SimReport`]s, executor event
+//! counts included (asserted by `tests/trace_streaming.rs`).
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::io;
 use std::rc::Rc;
 
@@ -113,8 +119,8 @@ struct FaultParts {
     state: Rc<RobustnessState>,
 }
 
-/// Everything both replay paths share: the executor, the hosts, and the
-/// global sinks that become the report.
+/// What a replay runs on, whatever feeds its cursors: the executor, the
+/// hosts, and the global sinks that become the report.
 struct SimParts {
     sim: Sim,
     cfg: Rc<SimConfig>,
@@ -319,7 +325,7 @@ fn build_parts(config: &SimConfig, n_hosts: u16) -> SimParts {
 }
 
 /// Spawns the periodic syncer daemons and the optional clock pin. Called
-/// after the per-thread replay tasks so both paths share one spawn order.
+/// after the per-slot replay tasks, so every run has one spawn order.
 fn spawn_daemons(parts: &SimParts) {
     let SimParts {
         sim, cfg, hosts, ..
@@ -606,35 +612,72 @@ fn run_and_collect(parts: &SimParts) -> Result<SimReport, SimError> {
     Ok(report)
 }
 
-/// Immutable raw view of the trace's op slice, handed to replay tasks.
+/// The replay loop every feed runs through: builds the parts, then spawns
+/// one task per `(host, thread)` slot, in slot order, that pulls its ops
+/// from the slot's cursor and awaits [`execute_op`] on each ("each
+/// application thread can have only one I/O in progress", §5, so per-slot
+/// program order is all replay needs). `fork(host, thread)` supplies the
+/// cursors; the first cursor error fails the run with
+/// [`SimError::Source`].
 ///
-/// The executor requires `'static` futures, but the ops live in the caller's
-/// `&Trace` borrow. A lifetime-erased pointer is sound here because the ops
-/// are only dereferenced while `Sim::run` executes inside [`run_trace`]'s
-/// borrow of the trace: every replay task is either completed during the run
-/// or dropped by `Sim::shutdown` before `run_trace` returns, and a future
-/// that is never polled again never touches the pointer (even if a panic
-/// leaks the executor, leaked tasks are never polled).
-#[derive(Clone, Copy)]
-struct OpsView {
-    ptr: *const TraceOp,
-    len: usize,
-}
+/// Every op reaches the engine from the same slot task in the same order
+/// whichever feed the cursors read, so reports are bit-identical across
+/// feeds, executor event counts included (pinned by
+/// `tests/trace_streaming.rs`).
+fn replay<'a>(
+    config: &SimConfig,
+    n_hosts: u16,
+    n_threads: u16,
+    mut fork: impl FnMut(u16, u16) -> Box<dyn SlotCursor + 'a>,
+) -> Result<SimReport, SimError> {
+    let parts = build_parts(config, n_hosts);
+    let error: Rc<OnceCell<String>> = Rc::new(OnceCell::new());
 
-impl OpsView {
-    fn new(ops: &[TraceOp]) -> Self {
-        Self {
-            ptr: ops.as_ptr(),
-            len: ops.len(),
+    for host in 0..n_hosts {
+        for thread in 0..n_threads {
+            let cursor = fork(host, thread);
+            // SAFETY: erases the cursor's borrow (of the caller's trace or
+            // source, alive for `'a`) so the `'static` task can own it. The
+            // task only touches the cursor while it is polled or dropped,
+            // and both happen inside this call: `run_and_collect` runs the
+            // executor and its `Sim::shutdown` drops every task that did
+            // not complete before we return. If a panic unwinds out of the
+            // run instead, whatever the unwind drops is dropped inside this
+            // call too, and a task left in the executor's task↔host `Rc`
+            // cycle is leaked: never polled or dropped again.
+            let mut cursor = unsafe {
+                std::mem::transmute::<Box<dyn SlotCursor + 'a>, Box<dyn SlotCursor + 'static>>(
+                    cursor,
+                )
+            };
+            let ctx = Rc::clone(&parts.hosts[usize::from(host)]);
+            let error = Rc::clone(&error);
+            parts.sim.spawn(async move {
+                loop {
+                    let next = cursor.next();
+                    match next {
+                        Ok(Some(op)) => {
+                            execute_op(&ctx, &op).await;
+                        }
+                        Ok(None) => break,
+                        Err(e) => {
+                            // First failing slot wins (deterministic: tasks
+                            // run in a deterministic order).
+                            let _ = error.set(e.to_string());
+                            break;
+                        }
+                    }
+                }
+            });
         }
     }
 
-    fn get(&self, i: usize) -> &TraceOp {
-        debug_assert!(i < self.len);
-        // SAFETY: `i` is an index produced by the counting sort over the
-        // same slice, and the slice outlives every poll (type-level comment).
-        unsafe { &*self.ptr.add(i) }
+    spawn_daemons(&parts);
+    let report = run_and_collect(&parts);
+    if let Some(msg) = error.get() {
+        return Err(SimError::Source(msg.clone()));
     }
+    report
 }
 
 /// Runs `trace` under `config`, returning the aggregated report.
@@ -690,9 +733,8 @@ pub fn run_trace(config: &SimConfig, trace: &Trace) -> Result<SimReport, SimErro
 
     // One index pass: counting-sort op indices by (host, thread) slot. The
     // order array is the only per-run allocation that scales with the
-    // trace, and it is shared read-only by every thread task — the ops
-    // themselves are never copied ("each application thread can have only
-    // one I/O in progress", §5, so per-slot order is all replay needs).
+    // trace, and every slot's cursor walks its own span of it — the ops
+    // themselves are never copied.
     let slot_of = |op: &TraceOp| op.host().index() * n_threads as usize + op.thread().index();
     let mut starts = vec![0u32; n_slots + 1];
     for op in &trace.ops {
@@ -708,137 +750,119 @@ pub fn run_trace(config: &SimConfig, trace: &Trace) -> Result<SimReport, SimErro
         order[next[s] as usize] = i as u32;
         next[s] += 1;
     }
-    let order: Rc<[u32]> = order.into();
 
-    let parts = build_parts(config, n_hosts);
-    let ops = OpsView::new(&trace.ops);
-
-    // One cursor task per slot, in slot order (empty slots spawn a task
-    // that completes on its first poll, mirroring the streamed path).
-    for slot in 0..n_slots {
-        let host = Rc::clone(&parts.hosts[slot / n_threads as usize]);
-        let order = Rc::clone(&order);
-        let (lo, hi) = (starts[slot] as usize, starts[slot + 1] as usize);
-        parts.sim.spawn(async move {
-            for &idx in &order[lo..hi] {
-                execute_op(&host, ops.get(idx as usize)).await;
-            }
-        });
-    }
-
-    spawn_daemons(&parts);
-    run_and_collect(&parts)
+    replay(config, n_hosts, n_threads, |host, thread| {
+        let slot = usize::from(host) * usize::from(n_threads) + usize::from(thread);
+        let span = &order[starts[slot] as usize..starts[slot + 1] as usize];
+        Box::new(IndexCursor {
+            ops: &trace.ops,
+            order: span.iter(),
+        })
+    })
 }
 
-/// Type-erased handle to the caller's `&mut S` source: a data pointer plus
-/// a monomorphized fill thunk, so the `'static` replay tasks can pull
-/// chunks without naming the source's lifetime. Sound for the same reason
-/// as [`OpsView`]: only dereferenced while `Sim::run` executes inside
-/// [`run_source`]'s borrow of the source.
-struct RawSource {
-    data: *mut (),
-    fill: unsafe fn(*mut (), &mut Vec<TraceOp>, usize) -> io::Result<usize>,
+/// [`SlotCursor`] over one slot's span of [`run_trace`]'s counting-sort
+/// index into the trace's ops.
+struct IndexCursor<'a> {
+    ops: &'a [TraceOp],
+    order: std::slice::Iter<'a, u32>,
 }
 
-impl RawSource {
-    fn new<S: TraceSource>(source: &mut S) -> Self {
-        unsafe fn fill_thunk<S: TraceSource>(
-            data: *mut (),
-            out: &mut Vec<TraceOp>,
-            max: usize,
-        ) -> io::Result<usize> {
-            // SAFETY: `data` was produced from `&mut S` by `RawSource::new`
-            // and is only used while that borrow is live (type-level
-            // comment); the feed's `RefCell` serializes access.
-            unsafe { (*data.cast::<S>()).next_chunk(out, max) }
-        }
-        Self {
-            data: (source as *mut S).cast(),
-            fill: fill_thunk::<S>,
-        }
-    }
-
-    fn fill(&mut self, out: &mut Vec<TraceOp>, max: usize) -> io::Result<usize> {
-        // SAFETY: see `RawSource` docs.
-        unsafe { (self.fill)(self.data, out, max) }
+impl SlotCursor for IndexCursor<'_> {
+    fn next(&mut self) -> io::Result<Option<TraceOp>> {
+        Ok(self.order.next().map(|&i| self.ops[i as usize]))
     }
 }
 
-/// Shared chunk feed: per-slot queues refilled from the source on demand.
-/// The queues are [`SpillQueue`]s, so inter-thread skew past a bounded
-/// resident window overflows to disk instead of growing replay memory —
-/// O(chunk) per slot unconditionally, even for a trace whose slots are
-/// laid out back to back.
-struct Feed {
-    source: RawSource,
+/// Shared chunk feed for a sequential source: per-slot queues refilled
+/// from the source on demand. The queues are [`SpillQueue`]s, so
+/// inter-thread skew past a bounded resident window overflows to disk
+/// instead of growing replay memory — O(chunk) per slot unconditionally,
+/// even for a trace whose slots are laid out back to back.
+struct Feed<'a> {
+    source: &'a mut dyn TraceSource,
     queues: Vec<SpillQueue>,
     chunk: Vec<TraceOp>,
     n_threads: usize,
+    /// The source ended or failed; no further refills.
     done: bool,
-    error: Option<String>,
 }
 
-impl Feed {
+impl Feed<'_> {
     /// Pops the next op for `slot`, pulling chunks from the source until
     /// the slot has one or the stream ends. Refills cost zero simulated
-    /// time, matching the materialized path where all ops exist up front.
-    fn next_for(&mut self, slot: usize) -> Option<TraceOp> {
+    /// time, matching the in-memory feed where all ops exist up front. A
+    /// failure ends the stream for every slot and goes to the slot whose
+    /// pull hit it.
+    fn next_for(&mut self, slot: usize) -> io::Result<Option<TraceOp>> {
         loop {
             match self.queues[slot].pop() {
-                Ok(Some(op)) => return Some(op),
+                Ok(Some(op)) => return Ok(Some(op)),
+                Ok(None) if self.done => return Ok(None),
                 Ok(None) => {}
                 Err(e) => {
                     // Spilled backlog that cannot be read back is gone;
                     // fail the run rather than silently dropping ops.
-                    self.error = Some(format!("spilled op backlog lost: {e}"));
                     self.done = true;
-                    return None;
+                    let msg = format!("spilled op backlog lost: {e}");
+                    return Err(io::Error::new(e.kind(), msg));
                 }
             }
-            if self.done {
-                return None;
+            if let Err(e) = self.refill() {
+                self.done = true;
+                return Err(e);
             }
-            self.refill();
         }
     }
 
-    fn refill(&mut self) {
+    fn refill(&mut self) -> io::Result<()> {
         self.chunk.clear();
-        match self.source.fill(&mut self.chunk, TRACE_CHUNK_OPS) {
-            Ok(0) => self.done = true,
-            Ok(_) => {
-                for op in self.chunk.drain(..) {
-                    let slot = op.host().index() * self.n_threads + op.thread().index();
-                    if slot >= self.queues.len() {
-                        self.error = Some(format!(
-                            "op for {} {} outside the {}-host/{}-thread grid its meta promised",
-                            op.host(),
-                            op.thread(),
-                            self.queues.len() / self.n_threads,
-                            self.n_threads,
-                        ));
-                        self.done = true;
-                        return;
-                    }
-                    self.queues[slot].push(op);
-                }
-            }
-            Err(e) => {
-                self.error = Some(e.to_string());
-                self.done = true;
-            }
+        if self.source.next_chunk(&mut self.chunk, TRACE_CHUNK_OPS)? == 0 {
+            self.done = true;
         }
+        for op in self.chunk.drain(..) {
+            let slot = op.host().index() * self.n_threads + op.thread().index();
+            if slot >= self.queues.len() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "op for {} {} outside the {}-host/{}-thread grid its meta promised",
+                        op.host(),
+                        op.thread(),
+                        self.queues.len() / self.n_threads,
+                        self.n_threads,
+                    ),
+                ));
+            }
+            self.queues[slot].push(op);
+        }
+        Ok(())
+    }
+}
+
+/// [`SlotCursor`] over one slot's queue of a shared [`Feed`].
+struct FeedCursor<'a> {
+    feed: Rc<RefCell<Feed<'a>>>,
+    slot: usize,
+}
+
+impl SlotCursor for FeedCursor<'_> {
+    fn next(&mut self) -> io::Result<Option<TraceOp>> {
+        self.feed.borrow_mut().next_for(self.slot)
     }
 }
 
 /// Replays a streamed [`TraceSource`] under `config`.
 ///
-/// Ops are pulled in bounded chunks ([`TRACE_CHUNK_OPS`]) and fanned into
-/// per-thread queues, so replay memory is O(chunk + inter-thread skew)
-/// regardless of trace length — a generated multi-gigabyte workload or an
-/// archived `FCTRACE1` file replays without ever being resident. Reports
-/// are bit-identical to materializing the same ops and calling
-/// [`run_trace`].
+/// A random-access source ([`TraceSource::fork_slot`] — a mapped archive,
+/// an in-memory slice) hands every slot its own cursor, so ops flow
+/// straight from the source to the engine. A sequential source (a
+/// generator, a buffered file) is pulled in bounded chunks
+/// ([`TRACE_CHUNK_OPS`]) fanned into per-slot queues, so replay memory is
+/// O(chunk + inter-thread skew) regardless of trace length — a generated
+/// multi-gigabyte workload or an archived `FCTRACE1` file replays without
+/// ever being resident. Reports are bit-identical to materializing the
+/// same ops and calling [`run_trace`].
 ///
 /// The host/thread grid comes from [`TraceSource::meta`]; an op outside
 /// that grid fails the run with [`SimError::Source`].
@@ -849,109 +873,28 @@ pub fn run_source<S: TraceSource>(
     let meta = source.meta();
     let n_hosts = meta.hosts.max(1);
     let n_threads = meta.threads_per_host.max(1);
-    let n_slots = n_hosts as usize * n_threads as usize;
 
-    // Zero-copy fast path: a random-access source hands every slot its
-    // own cursor, so ops flow straight from the source to the engine with
-    // no shared chunk buffer or per-slot queues at all.
     if source.fork_slot(0, 0).is_some() {
-        return run_forked(config, source, n_hosts, n_threads);
+        let source = &*source;
+        return replay(config, n_hosts, n_threads, |host, thread| {
+            source
+                .fork_slot(host, thread)
+                .expect("forkable source must fork every slot")
+        });
     }
 
-    let parts = build_parts(config, n_hosts);
+    let n_slots = n_hosts as usize * n_threads as usize;
     let feed = Rc::new(RefCell::new(Feed {
-        source: RawSource::new(source),
+        source,
         queues: (0..n_slots).map(|_| SpillQueue::new()).collect(),
         chunk: Vec::with_capacity(TRACE_CHUNK_OPS),
         n_threads: n_threads as usize,
         done: false,
-        error: None,
     }));
-
-    for slot in 0..n_slots {
-        let host = Rc::clone(&parts.hosts[slot / n_threads as usize]);
-        let feed = Rc::clone(&feed);
-        parts.sim.spawn(async move {
-            loop {
-                // The borrow must not span the await (a `while let` would
-                // hold the `RefMut` through the body): copy the op out of
-                // the queue, drop the borrow, then run the engine.
-                let next = feed.borrow_mut().next_for(slot);
-                let Some(op) = next else { break };
-                execute_op(&host, &op).await;
-            }
-        });
-    }
-
-    spawn_daemons(&parts);
-    let report = run_and_collect(&parts);
-    if let Some(msg) = feed.borrow_mut().error.take() {
-        return Err(SimError::Source(msg));
-    }
-    report
-}
-
-/// The forked replay path: one [`SlotCursor`] per `(host, thread)` slot,
-/// each task pulling its own ops straight out of the source.
-///
-/// The task loop has exactly the same shape as the chunk-fed one — a
-/// synchronous pull, then one `execute_op` await per op — so both paths
-/// poll their tasks identically and produce bit-identical reports
-/// (including executor event counts; pinned by `tests/trace_streaming.rs`).
-fn run_forked<S: TraceSource + ?Sized>(
-    config: &SimConfig,
-    source: &S,
-    n_hosts: u16,
-    n_threads: u16,
-) -> Result<SimReport, SimError> {
-    let n_slots = n_hosts as usize * n_threads as usize;
-    let parts = build_parts(config, n_hosts);
-    let error: Rc<RefCell<Option<String>>> = Rc::new(RefCell::new(None));
-
-    for slot in 0..n_slots {
-        let host = Rc::clone(&parts.hosts[slot / n_threads as usize]);
-        let cursor = source
-            .fork_slot(
-                (slot / n_threads as usize) as u16,
-                (slot % n_threads as usize) as u16,
-            )
-            .expect("forkable source must fork every slot");
-        // SAFETY: erases the borrow of `source` so the `'static` task can
-        // hold the cursor. Sound for the same reason as `OpsView` and
-        // `RawSource`: the cursor is only used while `Sim::run` executes
-        // inside this function's borrow of the source — every task is
-        // completed or dropped by `Sim::shutdown` before we return, and a
-        // task that is never polled never touches it.
-        let mut cursor: Box<dyn SlotCursor + 'static> =
-            unsafe { std::mem::transmute::<Box<dyn SlotCursor + '_>, _>(cursor) };
-        let error = Rc::clone(&error);
-        parts.sim.spawn(async move {
-            loop {
-                let next = cursor.next();
-                match next {
-                    Ok(Some(op)) => {
-                        execute_op(&host, &op).await;
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        // First failing slot wins (deterministic: tasks
-                        // run in a deterministic order and every slot
-                        // stops at the same offending record anyway).
-                        let mut err = error.borrow_mut();
-                        if err.is_none() {
-                            *err = Some(e.to_string());
-                        }
-                        break;
-                    }
-                }
-            }
-        });
-    }
-
-    spawn_daemons(&parts);
-    let report = run_and_collect(&parts);
-    if let Some(msg) = error.borrow_mut().take() {
-        return Err(SimError::Source(msg));
-    }
-    report
+    replay(config, n_hosts, n_threads, |host, thread| {
+        Box::new(FeedCursor {
+            feed: Rc::clone(&feed),
+            slot: usize::from(host) * usize::from(n_threads) + usize::from(thread),
+        })
+    })
 }

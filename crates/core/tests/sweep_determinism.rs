@@ -7,7 +7,7 @@
 use std::sync::Mutex;
 
 use fcache::{
-    run_source, run_sweep, run_trace, Architecture, FlashTiming, SimConfig, Sweep, Workbench,
+    run_source, run_trace, Architecture, FlashTiming, Scenario, SimConfig, Sweep, Workbench,
     Workload, WorkloadSpec,
 };
 use fcache_device::SsdConfig;
@@ -48,11 +48,19 @@ fn parallel_sweep_reports_are_bit_identical_to_serial() {
     // Force real fan-out even on single-core CI machines, and repeat so a
     // racy slot assignment would have chances to surface.
     for round in 0..3 {
-        let jobs: Vec<_> = cfgs.iter().map(|cfg| (cfg.clone(), &trace)).collect();
-        let parallel = run_sweep(&jobs, Some(4));
+        let parallel = cfgs
+            .iter()
+            .enumerate()
+            .fold(Sweep::new().threads(4), |sweep, (i, cfg)| {
+                sweep.scenario(
+                    format!("job{i}"),
+                    Scenario::new(cfg.clone(), Workload::trace(&trace)),
+                )
+            })
+            .run();
         assert_eq!(parallel.len(), serial.len());
-        for (i, result) in parallel.into_iter().enumerate() {
-            let got = format!("{:?}", result.expect("parallel run"));
+        for (i, item) in parallel.into_iter().enumerate() {
+            let got = format!("{:?}", item.report.expect("parallel run"));
             assert_eq!(
                 got, serial[i],
                 "round {round}: job {i} diverged between parallel and serial"
@@ -74,17 +82,20 @@ fn sweep_preserves_job_order_not_completion_order() {
         ..WorkloadSpec::default()
     });
     let cfg = SimConfig::baseline().scaled_down(4096);
-    let jobs = vec![
-        (cfg.clone(), &big),
-        (cfg.clone(), &small),
-        (cfg.clone(), &big),
-        (cfg.clone(), &small),
-    ];
-    let results = run_sweep(&jobs, Some(4));
+    let results = [&big, &small, &big, &small]
+        .into_iter()
+        .enumerate()
+        .fold(Sweep::new().threads(4), |sweep, (i, trace)| {
+            sweep.scenario(
+                format!("job{i}"),
+                Scenario::new(cfg.clone(), Workload::trace(trace)),
+            )
+        })
+        .run();
     let blocks: Vec<u64> = results
         .into_iter()
-        .map(|r| {
-            let m = r.expect("run").metrics;
+        .map(|item| {
+            let m = item.report.expect("run").metrics;
             m.read_blocks + m.write_blocks
         })
         .collect();
@@ -108,13 +119,21 @@ fn sweep_results_match_streamed_replay_of_the_same_trace() {
         .into_iter()
         .map(|c| c.scaled_down(4096))
         .collect();
-    let jobs: Vec<_> = cfgs.iter().map(|cfg| (cfg.clone(), &trace)).collect();
-    let swept = run_sweep(&jobs, Some(4));
+    let swept = cfgs
+        .iter()
+        .enumerate()
+        .fold(Sweep::new().threads(4), |sweep, (i, cfg)| {
+            sweep.scenario(
+                format!("job{i}"),
+                Scenario::new(cfg.clone(), Workload::trace(&trace)),
+            )
+        })
+        .run();
     for (cfg, swept) in cfgs.iter().zip(swept) {
         let mut src = SliceSource::new(&trace);
         let streamed = run_source(cfg, &mut src).expect("streamed run");
         assert_eq!(
-            format!("{:?}", swept.expect("sweep run")),
+            format!("{:?}", swept.report.expect("sweep run")),
             format!("{streamed:?}"),
             "sweep and streamed replay diverged for {:?}/{}",
             cfg.arch,
@@ -212,7 +231,7 @@ fn workbench_sweep_matches_run_with_trace() {
         ..WorkloadSpec::default()
     });
     let cfgs = sweep_configs();
-    let swept = wb.run_sweep_with_trace(&cfgs, &trace);
+    let swept = wb.sweep(&cfgs, Workload::trace(&trace)).run();
     assert_eq!(swept.len(), cfgs.len());
     for (i, (cfg, got)) in cfgs.iter().zip(swept).enumerate() {
         let want = wb.run_with_trace(cfg, &trace).expect("serial");
@@ -224,7 +243,7 @@ fn workbench_sweep_matches_run_with_trace() {
         assert_eq!(
             format!("{:?}", got.report.expect("sweep")),
             format!("{want:?}"),
-            "Workbench::run_sweep_with_trace diverged for {:?}",
+            "Workbench::sweep diverged for {:?}",
             cfg.arch
         );
     }
@@ -308,7 +327,7 @@ fn file_workload_sweeps_are_bit_identical_to_materialized_sweeps() {
     std::fs::write(&path, &buf).expect("write archive");
 
     let cfgs = sweep_configs();
-    let materialized = wb.run_sweep_with_trace(&cfgs, &trace);
+    let materialized = wb.sweep(&cfgs, Workload::trace(&trace)).run();
     let filed = wb.sweep(&cfgs, Workload::file(&path)).threads(4).run();
     let _ = std::fs::remove_file(&path);
 
@@ -397,11 +416,19 @@ fn faulted_sweeps_are_bit_identical_serial_parallel_and_streamed() {
     }
 
     for round in 0..3 {
-        let jobs: Vec<_> = cfgs.iter().map(|cfg| (cfg.clone(), &trace)).collect();
-        let parallel = run_sweep(&jobs, Some(4));
-        for (i, result) in parallel.into_iter().enumerate() {
+        let parallel = cfgs
+            .iter()
+            .enumerate()
+            .fold(Sweep::new().threads(4), |sweep, (i, cfg)| {
+                sweep.scenario(
+                    format!("job{i}"),
+                    Scenario::new(cfg.clone(), Workload::trace(&trace)),
+                )
+            })
+            .run();
+        for (i, item) in parallel.into_iter().enumerate() {
             assert_eq!(
-                format!("{:?}", result.expect("parallel faulted run")),
+                format!("{:?}", item.report.expect("parallel faulted run")),
                 serial[i],
                 "round {round}: faulted job {i} diverged between parallel and serial"
             );
@@ -433,7 +460,7 @@ fn result_sink_spills_every_report_exactly_once() {
     let trace = wb.make_trace(&WorkloadSpec::baseline_60g());
     let cfgs = sweep_configs();
 
-    let collected = wb.run_sweep_with_trace(&cfgs, &trace);
+    let collected = wb.sweep(&cfgs, Workload::trace(&trace)).run();
     let want: Vec<String> = collected
         .into_iter()
         .map(|item| format!("{:?}", item.report.expect("collected run")))

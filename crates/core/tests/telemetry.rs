@@ -7,7 +7,7 @@
 //! format of one span row is pinned against silent drift.
 
 use fcache::{
-    run_sweep, run_trace, FlashTiming, SimConfig, SpanRow, Sweep, TelemetryStats, Workbench,
+    run_trace, FlashTiming, Scenario, SimConfig, SpanRow, Sweep, TelemetryStats, Workbench,
     Workload, WorkloadSpec,
 };
 use fcache_device::{SimTime, SsdConfig};
@@ -168,9 +168,19 @@ fn span_stream_is_byte_identical_across_run_modes() {
     // own stream file.
     let p3 = tmp("fcache_test_spans_par1.jsonl");
     let p4 = tmp("fcache_test_spans_par2.jsonl");
-    let jobs = vec![(telemetered(&p3), &trace), (telemetered(&p4), &trace)];
-    for r in run_sweep(&jobs, Some(2)) {
-        r.expect("parallel job");
+    let parallel = Sweep::new()
+        .threads(2)
+        .scenario(
+            "job0",
+            Scenario::new(telemetered(&p3), Workload::trace(&trace)),
+        )
+        .scenario(
+            "job1",
+            Scenario::new(telemetered(&p4), Workload::trace(&trace)),
+        )
+        .run();
+    for item in parallel {
+        item.report.expect("parallel job");
     }
     assert_eq!(reference, std::fs::read(&p3).expect("bytes"), "parallel");
     assert_eq!(reference, std::fs::read(&p4).expect("bytes"), "parallel");

@@ -53,7 +53,7 @@ fn streamed_generation_matches_materialized_generation() {
     };
     for cfg in configs() {
         let want = format!("{:?}", wb.run(&cfg, &spec).expect("materialized"));
-        let got = format!("{:?}", wb.run_streamed(&cfg, &spec).expect("streamed"));
+        let got = format!("{:?}", wb.scenario(&cfg, &spec).run().expect("streamed"));
         assert_eq!(got, want, "generation stream diverged for {:?}", cfg.arch);
     }
 }
@@ -69,7 +69,7 @@ fn streamed_generation_matches_with_skipped_warmup() {
     };
     let cfg = SimConfig::baseline();
     let want = format!("{:?}", wb.run(&cfg, &spec).expect("materialized"));
-    let got = format!("{:?}", wb.run_streamed(&cfg, &spec).expect("streamed"));
+    let got = format!("{:?}", wb.scenario(&cfg, &spec).run().expect("streamed"));
     assert_eq!(got, want);
 }
 
@@ -193,7 +193,7 @@ fn multi_host_streams_stay_identical() {
     // And the generated stream (paper-scale entry point) agrees too.
     let cfg = SimConfig::baseline();
     let materialized = format!("{:?}", wb.run(&cfg, &spec).expect("materialized"));
-    let streamed = format!("{:?}", wb.run_streamed(&cfg, &spec).expect("generated"));
+    let streamed = format!("{:?}", wb.scenario(&cfg, &spec).run().expect("generated"));
     assert_eq!(streamed, materialized);
 }
 
@@ -285,4 +285,64 @@ fn op_outside_meta_grid_is_a_source_error() {
     };
     let err = run_source(&SimConfig::baseline(), &mut src).unwrap_err();
     assert!(matches!(err, SimError::Source(_)), "got {err:?}");
+}
+
+#[test]
+fn corrupt_archive_fails_alike_through_every_cursor_source() {
+    // A 2-host archive whose record k has a zero block count. Every slot
+    // still owns ops after k, so replay is mid-run when the bad record
+    // surfaces — and past one chunk, so the chunk feed has replayed ops
+    // before it. The chunk feed, the forked byte cursors and the mapped
+    // file must all fail with the same source error.
+    let mut trace = fcache_types::Trace::new(TraceMeta {
+        hosts: 2,
+        threads_per_host: 2,
+        ..TraceMeta::default()
+    });
+    let n = 12_000u32;
+    for i in 0..n {
+        trace.ops.push(TraceOp::new(
+            fcache_types::HostId((i % 2) as u16),
+            fcache_types::ThreadId((i / 2 % 2) as u16),
+            if i.is_multiple_of(3) {
+                fcache_types::OpKind::Write
+            } else {
+                fcache_types::OpKind::Read
+            },
+            fcache_types::FileId(i % 16),
+            i.wrapping_mul(31) % 5000,
+            1 + i % 3,
+            false,
+        ));
+    }
+    let mut archive = Vec::new();
+    trace.encode(&mut archive).expect("encode");
+    // 38-byte header, 20-byte records, nblocks in the last 4 bytes.
+    let k = 7_001usize;
+    let at = 38 + k * 20 + 16;
+    archive[at..at + 4].fill(0);
+
+    let cfg = SimConfig {
+        ram_size: ByteSize::kib(256),
+        flash_size: ByteSize::mib(1),
+        ..SimConfig::baseline()
+    };
+    let source_error = |result: Result<fcache::SimReport, SimError>| match result {
+        Err(SimError::Source(msg)) => msg,
+        other => panic!("expected a source error, got {other:?}"),
+    };
+
+    let mut reader = TraceReader::new(archive.as_slice()).expect("header");
+    let chunked = source_error(run_source(&cfg, &mut reader));
+    assert_eq!(chunked, "zero-length trace op");
+
+    let mut bytes = ByteReader::new(&archive).expect("header");
+    assert_eq!(source_error(run_source(&cfg, &mut bytes)), chunked);
+
+    let path =
+        std::env::temp_dir().join(format!("fcache_corrupt_archive_{}.bin", std::process::id()));
+    std::fs::write(&path, &archive).expect("write archive");
+    let mapped = source_error(Scenario::new(cfg, Workload::file(&path)).run());
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(mapped, chunked);
 }

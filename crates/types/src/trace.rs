@@ -974,6 +974,74 @@ mod tests {
                 })
         }
 
+        /// Drains `bytes` through the streamed and the mapped decoder and
+        /// through mapped slot cursors. Each must return ops or an error,
+        /// never panic, and they must agree: both readers deliver the same
+        /// ops before the same verdict, and each cursor yields exactly its
+        /// slot's share of the ops before the first record it cannot
+        /// accept (a decode error or an op outside the meta grid).
+        fn check_decoders(bytes: &[u8]) -> Result<(), TestCaseError> {
+            let (Ok(mut streamed), Ok(mut mapped)) =
+                (TraceReader::new(bytes), ByteReader::new(bytes))
+            else {
+                prop_assert!(
+                    TraceReader::new(bytes).is_err() && ByteReader::new(bytes).is_err(),
+                    "header verdicts differ"
+                );
+                return Ok(());
+            };
+            prop_assert_eq!(streamed.meta(), mapped.meta());
+            // (ops delivered, whether the stream ended in an error)
+            let drain = |src: &mut dyn TraceSource| {
+                let mut ops = Vec::new();
+                loop {
+                    match src.next_chunk(&mut ops, 7) {
+                        Ok(0) => return (ops, false),
+                        Ok(_) => {}
+                        Err(_) => return (ops, true),
+                    }
+                }
+            };
+            let (ops, failed) = drain(&mut streamed);
+            prop_assert_eq!(drain(&mut mapped), (ops.clone(), failed));
+
+            let meta = mapped.meta();
+            let (hosts, threads) = (meta.hosts.max(1), meta.threads_per_host.max(1));
+            let outside = ops
+                .iter()
+                .position(|op| op.host().0 >= hosts || op.thread().0 >= threads);
+            let accepted = &ops[..outside.unwrap_or(ops.len())];
+            // A mutated header can claim 65535 x 65535 slots: fork only the
+            // slots the decoded ops name, plus slot (0, 0).
+            let mut slots: Vec<(u16, u16)> = ops
+                .iter()
+                .map(|op| (op.host().0, op.thread().0))
+                .chain([(0, 0)])
+                .collect();
+            slots.sort_unstable();
+            slots.dedup();
+            let fresh = ByteReader::new(bytes).expect("header parsed above");
+            for (host, thread) in slots {
+                let mut cursor = fresh.fork_slot(host, thread).expect("byte readers fork");
+                let mut got = Vec::new();
+                let cursor_failed = loop {
+                    match cursor.next() {
+                        Ok(Some(op)) => got.push(op),
+                        Ok(None) => break false,
+                        Err(_) => break true,
+                    }
+                };
+                let want: Vec<TraceOp> = accepted
+                    .iter()
+                    .copied()
+                    .filter(|op| op.host().0 == host && op.thread().0 == thread)
+                    .collect();
+                prop_assert_eq!(got, want, "slot ({}, {})", host, thread);
+                prop_assert_eq!(cursor_failed, failed || outside.is_some());
+            }
+            Ok(())
+        }
+
         proptest! {
             #[test]
             fn codec_roundtrips_arbitrary_packed_traces(
@@ -1000,14 +1068,33 @@ mod tests {
             #[test]
             fn decode_never_panics_on_corruption(
                 mut bytes in proptest::collection::vec(any::<u8>(), 0..256),
+                ops in proptest::collection::vec(op_strategy(), 0..48),
+                cut in any::<usize>(),
+                flip_at in any::<usize>(),
+                flip in 1u8..255,
             ) {
                 // Arbitrary bytes: decode must return Ok or Err, not panic.
                 let _ = Trace::decode(&mut bytes.as_slice());
+                check_decoders(&bytes)?;
                 // Valid header + garbage body.
                 let mut buf = Vec::new();
                 Trace::new(TraceMeta::default()).encode(&mut buf).unwrap();
                 buf.append(&mut bytes);
                 let _ = Trace::decode(&mut buf.as_slice());
+                check_decoders(&buf)?;
+                // A valid archive, truncated anywhere, then with one byte
+                // flipped anywhere (header fields included).
+                let mut archive = Vec::new();
+                Trace {
+                    meta: TraceMeta { hosts: 4, threads_per_host: 8, ..TraceMeta::default() },
+                    ops,
+                }
+                .encode(&mut archive)
+                .unwrap();
+                check_decoders(&archive[..cut % (archive.len() + 1)])?;
+                let at = flip_at % archive.len();
+                archive[at] ^= flip;
+                check_decoders(&archive)?;
             }
         }
     }
