@@ -24,51 +24,13 @@ use fcache_bench::{
     scale_from_env, Architecture, FlashTiming, Scenario, SimConfig, Sweep, Workbench, Workload,
     WorkloadSpec,
 };
-use fcache_cache::{BlockCache, LruList, UnifiedCache};
+use fcache_cache::{BlockCache, UnifiedCache};
 use fcache_des::{Sim, SimTime};
 use fcache_device::{IoLog, SsdConfig};
 use fcache_fleet::{Fleet, FleetSpec};
 use fcache_types::{
     BlockAddr, ByteReader, ByteSize, FaultPlan, FileId, FleetTopology, HostId, TraceOp, TraceReader,
 };
-
-/// The pre-refactor cache hot path, reconstructed for comparison: SipHash
-/// `HashMap` keyed map plus a *separate* SipHash `HashSet` for dirtiness —
-/// two hash probes (and two hash computations) per dirty-tracking insert,
-/// as the seed's `BlockCache` did before the dirty bit was folded into the
-/// LRU entry. Measured under the identical insert/evict workload so
-/// `BENCH_micro.json` records the hot-path multiple this refactor bought.
-struct LegacyCache {
-    map: std::collections::HashMap<u64, fcache_cache::lru::NodeId>,
-    lru: LruList<(BlockAddr, bool)>,
-    dirty: std::collections::HashSet<u64>,
-    capacity: usize,
-}
-
-impl LegacyCache {
-    fn insert(&mut self, addr: BlockAddr, dirty: bool) {
-        let key = addr.to_u64();
-        if let Some(&id) = self.map.get(&key) {
-            self.lru.touch(id);
-            if dirty {
-                self.dirty.insert(key);
-            }
-            return;
-        }
-        if self.lru.len() >= self.capacity {
-            if let Some((victim, _)) = self.lru.pop_back() {
-                let vkey = victim.to_u64();
-                self.map.remove(&vkey);
-                self.dirty.remove(&vkey);
-            }
-        }
-        let id = self.lru.push_front((addr, dirty));
-        self.map.insert(key, id);
-        if dirty {
-            self.dirty.insert(key);
-        }
-    }
-}
 
 struct Results {
     entries: Vec<(String, f64, &'static str)>,
@@ -117,7 +79,7 @@ fn bench_block_cache(res: &mut Results) {
     let mut hits = 0u64;
     let t0 = Instant::now();
     for n in 0..N {
-        // All resident: pure hit-path lookups (one hash probe each).
+        // All resident: pure hit-path lookups (one index probe each).
         hits += u64::from(cache.lookup(BlockAddr::new(FileId(0), N - 1 - (n % 65_536))));
     }
     assert_eq!(hits, u64::from(N));
@@ -127,26 +89,13 @@ fn bench_block_cache(res: &mut Results) {
         "ops/s",
     );
 
-    let mut legacy = LegacyCache {
-        map: std::collections::HashMap::with_capacity(65_536),
-        lru: LruList::with_capacity(65_536),
-        dirty: std::collections::HashSet::new(),
-        capacity: 65_536,
-    };
-    let t0 = Instant::now();
-    for n in 0..N {
-        legacy.insert(BlockAddr::new(FileId(0), n), n % 3 == 0);
-    }
-    let legacy_rate = f64::from(N) / t0.elapsed().as_secs_f64();
-    res.push("legacy_two_probe_insert_per_sec", legacy_rate, "ops/s");
+    // Deterministic memory cost of a full 65 536-block cache: index plus
+    // node slab, from the cache's own allocations.
+    assert!(cache.is_full());
     res.push(
-        "cache_hot_path_speedup_vs_legacy",
-        res.entries
-            .iter()
-            .find(|(n, _, _)| n == "block_cache_insert_evict_per_sec")
-            .map(|(_, v, _)| v / legacy_rate)
-            .unwrap_or(0.0),
-        "x",
+        "cache_bytes_per_block",
+        cache.heap_bytes() as f64 / cache.capacity() as f64,
+        "B",
     );
 
     let mut unified = UnifiedCache::new(8_192, 57_344);

@@ -12,6 +12,8 @@
 //! paper scale if you have the time and memory). See DESIGN.md §4 for why
 //! linear scaling preserves curve shapes.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;

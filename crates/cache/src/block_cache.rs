@@ -10,10 +10,10 @@
 //! LRU)" (§1). [`EvictionPolicy::Lru`] is therefore the default; FIFO and
 //! CLOCK (second chance) are provided for the replacement-policy ablation.
 
-use fcache_types::{BlockAddr, FxBuildHasher, FxHashMap};
+use fcache_types::BlockAddr;
 
-use crate::lru::{LruList, NodeId};
 use crate::stats::CacheStats;
+use crate::table::BlockTable;
 
 /// Replacement policy of a [`BlockCache`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -26,20 +26,6 @@ pub enum EvictionPolicy {
     /// CLOCK / second chance: hits set a reference bit; eviction rotates
     /// past referenced entries, clearing their bits.
     Clock,
-}
-
-/// Per-block cache entry.
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    addr: BlockAddr,
-    dirty: bool,
-    /// CLOCK reference bit (unused by LRU/FIFO).
-    referenced: bool,
-    /// Intrusive dirty-list links: dirty entries form a doubly-linked list
-    /// threaded through the slab, so dirty-set snapshots iterate O(dirty)
-    /// without a second hash structure (links maintained in O(1)).
-    dirty_prev: Option<NodeId>,
-    dirty_next: Option<NodeId>,
 }
 
 /// What `insert` had to evict, if anything.
@@ -90,16 +76,9 @@ pub enum InsertOutcome {
 pub struct BlockCache {
     capacity: usize,
     policy: EvictionPolicy,
-    /// One fast-hash probe per lookup; the dirty bit lives inside the LRU
-    /// entry (not a second structure), so every hot-path operation touches
-    /// exactly one hash table. See `PERF.md`.
-    map: FxHashMap<u64, NodeId>,
-    lru: LruList<Entry>,
-    /// Count of entries with `dirty == true` (kept in lockstep with the
-    /// entry bits; the former `HashSet<u64>` second structure is gone).
-    dirty_count: usize,
-    /// Head of the intrusive dirty list (see `Entry::dirty_prev`).
-    dirty_head: Option<NodeId>,
+    /// Block index, LRU order and dirty list in one compact table (see
+    /// `table.rs` and `PERF.md`); the dirty bit lives in the node.
+    table: BlockTable,
     stats: CacheStats,
 }
 
@@ -118,13 +97,7 @@ impl BlockCache {
         Self {
             capacity: capacity_blocks,
             policy,
-            map: FxHashMap::with_capacity_and_hasher(
-                capacity_blocks.min(1 << 22),
-                FxBuildHasher::default(),
-            ),
-            lru: LruList::with_capacity(capacity_blocks.min(1 << 22)),
-            dirty_count: 0,
-            dirty_head: None,
+            table: BlockTable::new(capacity_blocks),
             stats: CacheStats::default(),
         }
     }
@@ -135,82 +108,34 @@ impl BlockCache {
     }
 
     /// Applies the policy's on-reference behavior to a resident node.
-    fn reference(&mut self, id: NodeId) {
+    #[inline]
+    fn reference(&mut self, id: u32) {
         match self.policy {
-            EvictionPolicy::Lru => self.lru.touch(id),
+            EvictionPolicy::Lru => self.table.touch(id),
             EvictionPolicy::Fifo => {}
-            EvictionPolicy::Clock => {
-                self.lru
-                    .get_mut(id)
-                    .expect("mapped node must live")
-                    .referenced = true;
-            }
+            EvictionPolicy::Clock => self.table.set_referenced(id, true),
         }
     }
 
     /// Selects the eviction victim per the policy without unlinking it.
-    fn select_victim(&mut self) -> NodeId {
+    fn select_victim(&mut self) -> u32 {
+        let back = |t: &BlockTable| t.back().expect("full cache has a victim");
         match self.policy {
-            EvictionPolicy::Lru | EvictionPolicy::Fifo => {
-                self.lru.back().expect("full cache has a victim")
-            }
+            EvictionPolicy::Lru | EvictionPolicy::Fifo => back(&self.table),
             EvictionPolicy::Clock => {
                 // Second chance: rotate referenced entries to the front,
                 // clearing their bit; evict the first unreferenced one.
                 // Terminates: each rotation clears one bit.
                 loop {
-                    let id = self.lru.back().expect("full cache has a victim");
-                    let referenced = {
-                        let e = self.lru.get_mut(id).expect("live tail");
-                        let r = e.referenced;
-                        e.referenced = false;
-                        r
-                    };
-                    if referenced {
-                        self.lru.touch(id);
-                    } else {
+                    let id = back(&self.table);
+                    if !self.table.referenced(id) {
                         return id;
                     }
+                    self.table.set_referenced(id, false);
+                    self.table.touch(id);
                 }
             }
         }
-    }
-
-    /// Marks a clean resident entry dirty, pushing it onto the intrusive
-    /// dirty list. Caller ensures the entry is currently clean.
-    fn link_dirty(&mut self, id: NodeId) {
-        let old_head = self.dirty_head;
-        {
-            let e = self.lru.get_mut(id).expect("mapped node must live");
-            debug_assert!(!e.dirty, "link_dirty on dirty entry");
-            e.dirty = true;
-            e.dirty_prev = None;
-            e.dirty_next = old_head;
-        }
-        if let Some(h) = old_head {
-            self.lru.get_mut(h).expect("dirty head lives").dirty_prev = Some(id);
-        }
-        self.dirty_head = Some(id);
-        self.dirty_count += 1;
-    }
-
-    /// Marks a dirty resident entry clean, unlinking it from the intrusive
-    /// dirty list. Caller ensures the entry is currently dirty.
-    fn unlink_dirty(&mut self, id: NodeId) {
-        let (prev, next) = {
-            let e = self.lru.get_mut(id).expect("mapped node must live");
-            debug_assert!(e.dirty, "unlink_dirty on clean entry");
-            e.dirty = false;
-            (e.dirty_prev.take(), e.dirty_next.take())
-        };
-        match prev {
-            Some(p) => self.lru.get_mut(p).expect("dirty prev lives").dirty_next = next,
-            None => self.dirty_head = next,
-        }
-        if let Some(n) = next {
-            self.lru.get_mut(n).expect("dirty next lives").dirty_prev = prev;
-        }
-        self.dirty_count -= 1;
     }
 
     /// Maximum block count.
@@ -220,12 +145,12 @@ impl BlockCache {
 
     /// Current block count.
     pub fn len(&self) -> usize {
-        self.lru.len()
+        self.table.indexed()
     }
 
     /// True if no blocks are cached.
     pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
+        self.len() == 0
     }
 
     /// True when every slot is occupied.
@@ -235,7 +160,14 @@ impl BlockCache {
 
     /// Number of dirty blocks.
     pub fn dirty_len(&self) -> usize {
-        self.dirty_count
+        self.table.dirty_len()
+    }
+
+    /// Heap bytes of the cache's block index and node slab, as allocated
+    /// (a deterministic memory cost: it depends on the capacity only, up
+    /// to `2^22` blocks).
+    pub fn heap_bytes(&self) -> usize {
+        self.table.heap_bytes()
     }
 
     /// Statistics counters.
@@ -250,8 +182,8 @@ impl BlockCache {
 
     /// Looks a block up, promoting it to MRU on a hit.
     pub fn lookup(&mut self, addr: BlockAddr) -> bool {
-        match self.map.get(&addr.to_u64()) {
-            Some(&id) => {
+        match self.table.get(addr.to_u64()) {
+            Some(id) => {
                 self.reference(id);
                 self.stats.hits += 1;
                 true
@@ -265,7 +197,7 @@ impl BlockCache {
 
     /// True if the block is cached; no promotion, no statistics.
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.map.contains_key(&addr.to_u64())
+        self.table.get(addr.to_u64()).is_some()
     }
 
     /// Promotes a block *without* counting a hit or miss (the promotion
@@ -275,8 +207,8 @@ impl BlockCache {
     /// copy so the flash LRU order stays a superset of RAM recency and the
     /// naive/lookaside subset property holds. Returns false if absent.
     pub fn promote(&mut self, addr: BlockAddr) -> bool {
-        match self.map.get(&addr.to_u64()) {
-            Some(&id) => {
+        match self.table.get(addr.to_u64()) {
+            Some(id) => {
                 self.reference(id);
                 true
             }
@@ -286,10 +218,9 @@ impl BlockCache {
 
     /// True if the block is cached and dirty.
     pub fn is_dirty(&self, addr: BlockAddr) -> bool {
-        match self.map.get(&addr.to_u64()) {
-            Some(&id) => self.lru.get(id).expect("mapped node must live").dirty,
-            None => false,
-        }
+        self.table
+            .get(addr.to_u64())
+            .is_some_and(|id| self.table.is_dirty(id))
     }
 
     /// Inserts (or overwrites) a block, promoting it to MRU.
@@ -300,54 +231,44 @@ impl BlockCache {
     /// returned so the caller can write it back if dirty.
     pub fn insert(&mut self, addr: BlockAddr, dirty: bool) -> InsertOutcome {
         let key = addr.to_u64();
-        if let Some(&id) = self.map.get(&key) {
-            self.reference(id);
-            if dirty {
-                self.stats.overwrites += 1;
-                if !self.lru.get(id).expect("mapped node must live").dirty {
-                    self.link_dirty(id);
+        let slot = match self.table.find(key) {
+            Ok((_, id)) => {
+                self.reference(id);
+                if dirty {
+                    self.stats.overwrites += 1;
+                    self.table.set_dirty(id, true);
                 }
+                return InsertOutcome::AlreadyPresent;
             }
-            return InsertOutcome::AlreadyPresent;
-        }
+            Err(slot) => slot,
+        };
         if self.capacity == 0 {
             return InsertOutcome::ZeroCapacity;
         }
 
-        let entry = Entry {
-            addr,
-            dirty: false,
-            referenced: false,
-            dirty_prev: None,
-            dirty_next: None,
-        };
-        let outcome = if self.lru.len() >= self.capacity {
-            let victim_id = self.select_victim();
-            let was_dirty = self.lru.get(victim_id).expect("victim lives").dirty;
+        let outcome = if self.len() >= self.capacity {
+            // Recycle the victim's node in place: index the new key in the
+            // slot the miss found, then drop the victim's key.
+            let victim = self.select_victim();
+            let old = self.table.key(victim);
+            let was_dirty = self.table.is_dirty(victim);
             if was_dirty {
-                self.unlink_dirty(victim_id);
                 self.stats.dirty_evictions += 1;
             } else {
                 self.stats.clean_evictions += 1;
             }
-            // Recycle the victim's node in place: same slot `remove` +
-            // `push_front` would reuse, minus the free-list round trip.
-            let victim = self.lru.replace_to_front(victim_id, entry);
-            self.map.remove(&victim.addr.to_u64());
-            self.map.insert(key, victim_id);
-            if dirty {
-                self.link_dirty(victim_id);
-            }
+            self.table.index_at(slot, key, victim);
+            self.table.unindex(old, victim);
+            self.table.touch(victim);
+            self.table.set_dirty(victim, dirty);
             InsertOutcome::InsertedEvicting(Eviction {
-                addr: victim.addr,
+                addr: BlockAddr::from_u64(old),
                 dirty: was_dirty,
             })
         } else {
-            let id = self.lru.push_front(entry);
-            self.map.insert(key, id);
-            if dirty {
-                self.link_dirty(id);
-            }
+            let id = self.table.push_front(key, false);
+            self.table.index_at(slot, key, id);
+            self.table.set_dirty(id, dirty);
             InsertOutcome::Inserted
         };
         self.stats.insertions += 1;
@@ -356,25 +277,19 @@ impl BlockCache {
 
     /// Marks a cached block dirty (no promotion). Returns false if absent.
     pub fn mark_dirty(&mut self, addr: BlockAddr) -> bool {
-        match self.map.get(&addr.to_u64()) {
-            Some(&id) => {
-                if !self.lru.get(id).expect("mapped node must live").dirty {
-                    self.link_dirty(id);
-                }
-                true
-            }
-            None => false,
-        }
+        self.set_dirty(addr, true)
     }
 
     /// Marks a cached block clean (after a completed writeback).
     /// Returns false if the block is absent.
     pub fn mark_clean(&mut self, addr: BlockAddr) -> bool {
-        match self.map.get(&addr.to_u64()) {
-            Some(&id) => {
-                if self.lru.get(id).expect("mapped node must live").dirty {
-                    self.unlink_dirty(id);
-                }
+        self.set_dirty(addr, false)
+    }
+
+    fn set_dirty(&mut self, addr: BlockAddr, dirty: bool) -> bool {
+        match self.table.get(addr.to_u64()) {
+            Some(id) => {
+                self.table.set_dirty(id, dirty);
                 true
             }
             None => false,
@@ -384,26 +299,20 @@ impl BlockCache {
     /// Removes a block (cache-consistency invalidation or subset
     /// maintenance). Returns whether it was present and whether dirty.
     pub fn remove(&mut self, addr: BlockAddr) -> Option<Eviction> {
-        let id = self.map.remove(&addr.to_u64())?;
-        let was_dirty = self.lru.get(id).expect("mapped node must live").dirty;
-        if was_dirty {
-            self.unlink_dirty(id);
-        }
-        let entry = self.lru.remove(id).expect("mapped node must live");
+        let (slot, id) = self.table.find(addr.to_u64()).ok()?;
+        let dirty = self.table.is_dirty(id);
+        self.table.unindex_slot(slot);
+        self.table.remove(id);
         self.stats.invalidations += 1;
-        Some(Eviction {
-            addr: entry.addr,
-            dirty: was_dirty,
-        })
+        Some(Eviction { addr, dirty })
     }
 
     /// Address and dirtiness of the current LRU block, if any.
     pub fn peek_lru(&self) -> Option<Eviction> {
-        let id = self.lru.back()?;
-        let e = self.lru.get(id).expect("live tail");
+        let id = self.table.back()?;
         Some(Eviction {
-            addr: e.addr,
-            dirty: e.dirty,
+            addr: BlockAddr::from_u64(self.table.key(id)),
+            dirty: self.table.is_dirty(id),
         })
     }
 
@@ -413,67 +322,56 @@ impl BlockCache {
     /// block to the next level and marking it clean on completion. Taking a
     /// caller-owned buffer lets periodic flushers reuse one allocation
     /// across ticks instead of churning the allocator. The sort keeps flush
-    /// order deterministic and independent of hash-map layout.
+    /// order deterministic and independent of the dirty list's order.
     pub fn dirty_blocks_into(&self, out: &mut Vec<BlockAddr>) {
         let start = out.len();
-        out.reserve(self.dirty_count);
-        let mut cur = self.dirty_head;
-        while let Some(id) = cur {
-            let e = self.lru.get(id).expect("dirty entry lives");
-            out.push(e.addr);
-            cur = e.dirty_next;
-        }
+        out.reserve(self.dirty_len());
+        out.extend(
+            self.table
+                .dirty()
+                .map(|id| BlockAddr::from_u64(self.table.key(id))),
+        );
         out[start..].sort_unstable();
     }
 
     /// Snapshot of all dirty block addresses, sorted by address
     /// (allocating convenience wrapper over [`BlockCache::dirty_blocks_into`]).
     pub fn dirty_blocks(&self) -> Vec<BlockAddr> {
-        let mut v = Vec::with_capacity(self.dirty_count);
+        let mut v = Vec::with_capacity(self.dirty_len());
         self.dirty_blocks_into(&mut v);
         v
     }
 
     /// Iterates cached blocks from MRU to LRU (test/diagnostic use).
     pub fn iter_mru(&self) -> impl Iterator<Item = (BlockAddr, bool)> + '_ {
-        self.lru.iter().map(|e| (e.addr, e.dirty))
+        self.table.iter().map(|id| {
+            (
+                BlockAddr::from_u64(self.table.key(id)),
+                self.table.is_dirty(id),
+            )
+        })
     }
 
     /// Verifies internal invariants; test support.
     ///
     /// # Panics
     ///
-    /// Panics if the map, LRU list, and dirty set disagree.
+    /// Panics if the index, LRU list, and dirty list disagree.
     pub fn check_invariants(&self) {
-        assert_eq!(self.map.len(), self.lru.len(), "map/lru size mismatch");
-        assert!(self.lru.len() <= self.capacity, "over capacity");
-        let mut dirty_seen = 0;
-        for (addr, dirty) in self.iter_mru() {
-            let id = self.map.get(&addr.to_u64()).expect("lru block not in map");
+        self.table.check();
+        assert_eq!(
+            self.table.indexed(),
+            self.table.listed(),
+            "index/lru size mismatch"
+        );
+        assert!(self.len() <= self.capacity, "over capacity");
+        for id in self.table.iter() {
             assert_eq!(
-                self.lru.get(*id).map(|e| e.addr),
-                Some(addr),
-                "map points at wrong node"
+                self.table.get(self.table.key(id)),
+                Some(id),
+                "lru block not indexed at its node"
             );
-            assert_eq!(self.is_dirty(addr), dirty, "dirty bit mismatch");
-            dirty_seen += usize::from(dirty);
         }
-        assert_eq!(dirty_seen, self.dirty_count, "dirty count mismatch");
-        // The intrusive dirty list must contain exactly the dirty entries,
-        // with consistent back-links.
-        let mut walked = 0;
-        let mut prev: Option<NodeId> = None;
-        let mut cur = self.dirty_head;
-        while let Some(id) = cur {
-            let e = self.lru.get(id).expect("dirty entry lives");
-            assert!(e.dirty, "dirty list holds clean entry");
-            assert_eq!(e.dirty_prev, prev, "dirty list back-link mismatch");
-            walked += 1;
-            assert!(walked <= self.dirty_count, "dirty list cycle");
-            prev = cur;
-            cur = e.dirty_next;
-        }
-        assert_eq!(walked, self.dirty_count, "dirty list length mismatch");
     }
 }
 
@@ -750,38 +648,97 @@ mod tests {
         }
     }
 
+    /// Fills a 4-block cache (an 8-slot index) with blocks whose home is
+    /// the index's last slot, so their cluster wraps to slots 0..3, then
+    /// empties it in LRU, MRU and interleaved order and refills it after
+    /// each: every removal shifts the cluster back across the wrap point.
+    #[test]
+    fn removals_in_any_order_shift_across_the_wrap() {
+        let mut c = BlockCache::new(4);
+        let keys = crate::table::keys_homed_at(8, 7, 1 << 32, 8);
+        let blocks: Vec<BlockAddr> = keys.into_iter().map(BlockAddr::from_u64).collect();
+        let fill = |c: &mut BlockCache, set: &[BlockAddr]| {
+            for (i, &b) in set.iter().enumerate() {
+                assert_eq!(c.insert(b, i % 2 == 0), InsertOutcome::Inserted);
+                c.check_invariants();
+            }
+        };
+        // Oldest first: LRU order is the insertion order.
+        let orders: [&[usize]; 3] = [&[0, 1, 2, 3], &[3, 2, 1, 0], &[1, 3, 0, 2]];
+        for (round, order) in orders.iter().enumerate() {
+            let set = &blocks[4 * (round % 2)..4 * (round % 2) + 4];
+            fill(&mut c, set);
+            for (n, &o) in order.iter().enumerate() {
+                let ev = c.remove(set[o]).expect("resident");
+                assert_eq!(ev.dirty, o % 2 == 0);
+                c.check_invariants();
+                for (j, &b) in set.iter().enumerate() {
+                    assert_eq!(c.contains(b), !order[..=n].contains(&j), "block {j}");
+                }
+            }
+            assert!(c.is_empty());
+        }
+        // Refill and evict through the wrapped cluster as well.
+        fill(&mut c, &blocks[..4]);
+        for (i, &b) in blocks[4..].iter().enumerate() {
+            match c.insert(b, false) {
+                InsertOutcome::InsertedEvicting(ev) => assert_eq!(ev.addr, blocks[i]),
+                other => panic!("unexpected {other:?}"),
+            }
+            c.check_invariants();
+        }
+        assert_eq!(c.dirty_len(), 0);
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
-        use std::collections::VecDeque;
+        use std::collections::{HashSet, VecDeque};
 
         #[derive(Debug, Clone)]
         enum Op {
-            Lookup(u32),
-            Insert(u32, bool),
-            MarkClean(u32),
-            Remove(u32),
+            Lookup(BlockAddr),
+            Insert(BlockAddr, bool),
+            MarkClean(BlockAddr),
+            MarkDirty(BlockAddr),
+            Promote(BlockAddr),
+            Remove(BlockAddr),
+            PeekLru,
+        }
+
+        /// Eight blocks in each of three files, one of them with the top
+        /// file-id bit set: block numbers repeat across files, so keys
+        /// differ in their high and low halves alike.
+        fn key() -> impl Strategy<Value = BlockAddr> {
+            (0usize..3, 0u32..8)
+                .prop_map(|(f, b)| BlockAddr::new(FileId([0, 1, 0x8000_0003][f]), b))
         }
 
         fn op_strategy() -> impl Strategy<Value = Op> {
-            let key = 0u32..24;
             prop_oneof![
-                key.clone().prop_map(Op::Lookup),
-                (key.clone(), any::<bool>()).prop_map(|(k, d)| Op::Insert(k, d)),
-                key.clone().prop_map(Op::MarkClean),
-                key.prop_map(Op::Remove),
+                key().prop_map(Op::Lookup),
+                (key(), any::<bool>()).prop_map(|(k, d)| Op::Insert(k, d)),
+                key().prop_map(Op::MarkClean),
+                key().prop_map(Op::MarkDirty),
+                key().prop_map(Op::Promote),
+                key().prop_map(Op::Remove),
+                Just(Op::PeekLru),
             ]
         }
 
-        /// Reference model: VecDeque of (key, dirty), front = MRU.
+        /// Reference model: VecDeque of (block, dirty), front = MRU.
         struct Model {
             cap: usize,
-            q: VecDeque<(u32, bool)>,
+            q: VecDeque<(BlockAddr, bool)>,
         }
 
         impl Model {
-            fn lookup(&mut self, k: u32) -> bool {
-                if let Some(p) = self.q.iter().position(|&(x, _)| x == k) {
+            fn find(&self, k: BlockAddr) -> Option<usize> {
+                self.q.iter().position(|&(x, _)| x == k)
+            }
+
+            fn lookup(&mut self, k: BlockAddr) -> bool {
+                if let Some(p) = self.find(k) {
                     let e = self.q.remove(p).unwrap();
                     self.q.push_front(e);
                     true
@@ -790,8 +747,8 @@ mod tests {
                 }
             }
 
-            fn insert(&mut self, k: u32, d: bool) -> Option<(u32, bool)> {
-                if let Some(p) = self.q.iter().position(|&(x, _)| x == k) {
+            fn insert(&mut self, k: BlockAddr, d: bool) -> Option<(BlockAddr, bool)> {
+                if let Some(p) = self.find(k) {
                     let mut e = self.q.remove(p).unwrap();
                     e.1 |= d;
                     self.q.push_front(e);
@@ -805,6 +762,14 @@ mod tests {
                 self.q.push_front((k, d));
                 evicted
             }
+
+            fn set_dirty(&mut self, k: BlockAddr, d: bool) -> bool {
+                self.q
+                    .iter_mut()
+                    .find(|(x, _)| *x == k)
+                    .map(|e| e.1 = d)
+                    .is_some()
+            }
         }
 
         /// The pre-refactor representation: recency order in one structure,
@@ -813,15 +778,25 @@ mod tests {
         /// identical to it.
         struct TwoStructureModel {
             cap: usize,
-            order: VecDeque<u32>, // front = MRU
-            dirty: std::collections::HashSet<u32>,
+            order: VecDeque<BlockAddr>, // front = MRU
+            dirty: HashSet<BlockAddr>,
         }
 
         impl TwoStructureModel {
-            fn insert(&mut self, k: u32, d: bool) -> Option<(u32, bool)> {
-                if let Some(p) = self.order.iter().position(|&x| x == k) {
-                    self.order.remove(p);
-                    self.order.push_front(k);
+            /// Moves a resident block to MRU; false if absent.
+            fn promote(&mut self, k: BlockAddr) -> bool {
+                match self.order.iter().position(|&x| x == k) {
+                    Some(p) => {
+                        self.order.remove(p);
+                        self.order.push_front(k);
+                        true
+                    }
+                    None => false,
+                }
+            }
+
+            fn insert(&mut self, k: BlockAddr, d: bool) -> Option<(BlockAddr, bool)> {
+                if self.promote(k) {
                     if d {
                         self.dirty.insert(k);
                     }
@@ -840,6 +815,25 @@ mod tests {
             }
         }
 
+        fn check_insert(
+            got: InsertOutcome,
+            want: Option<(BlockAddr, bool)>,
+        ) -> Result<(), TestCaseError> {
+            match (got, want) {
+                (InsertOutcome::InsertedEvicting(ev), Some((mk, md))) => {
+                    prop_assert_eq!(ev.addr, mk);
+                    prop_assert_eq!(ev.dirty, md);
+                }
+                (InsertOutcome::Inserted, None) | (InsertOutcome::AlreadyPresent, None) => {}
+                (got, want) => {
+                    return Err(TestCaseError::fail(format!(
+                        "insert mismatch: sut={got:?} model={want:?}"
+                    )));
+                }
+            }
+            Ok(())
+        }
+
         proptest! {
             #[test]
             fn folded_dirty_bit_matches_two_structure_model(
@@ -850,49 +844,48 @@ mod tests {
                 let mut model = TwoStructureModel {
                     cap,
                     order: VecDeque::new(),
-                    dirty: std::collections::HashSet::new(),
+                    dirty: HashSet::new(),
                 };
                 for op in ops {
                     match op {
                         Op::Lookup(k) => {
-                            let hit = sut.lookup(addr(k));
-                            if let Some(p) = model.order.iter().position(|&x| x == k) {
-                                prop_assert!(hit);
-                                model.order.remove(p);
-                                model.order.push_front(k);
-                            } else {
-                                prop_assert!(!hit);
-                            }
+                            prop_assert_eq!(sut.lookup(k), model.promote(k));
+                        }
+                        Op::Promote(k) => {
+                            prop_assert_eq!(sut.promote(k), model.promote(k));
                         }
                         Op::Insert(k, d) => {
-                            match (sut.insert(addr(k), d), model.insert(k, d)) {
-                                (InsertOutcome::InsertedEvicting(ev), Some((mk, md))) => {
-                                    prop_assert_eq!(ev.addr, addr(mk));
-                                    prop_assert_eq!(ev.dirty, md);
-                                }
-                                (InsertOutcome::Inserted, None)
-                                | (InsertOutcome::AlreadyPresent, None) => {}
-                                (got, want) => {
-                                    return Err(TestCaseError::fail(
-                                        format!("insert mismatch: sut={got:?} model={want:?}")));
-                                }
-                            }
+                            check_insert(sut.insert(k, d), model.insert(k, d))?;
                         }
                         Op::MarkClean(k) => {
                             let present = model.order.contains(&k);
                             model.dirty.remove(&k);
-                            prop_assert_eq!(sut.mark_clean(addr(k)), present);
+                            prop_assert_eq!(sut.mark_clean(k), present);
+                        }
+                        Op::MarkDirty(k) => {
+                            let present = model.order.contains(&k);
+                            if present {
+                                model.dirty.insert(k);
+                            }
+                            prop_assert_eq!(sut.mark_dirty(k), present);
                         }
                         Op::Remove(k) => {
-                            let got = sut.remove(addr(k));
+                            let got = sut.remove(k);
                             if let Some(p) = model.order.iter().position(|&x| x == k) {
                                 model.order.remove(p);
                                 let was_dirty = model.dirty.remove(&k);
                                 prop_assert_eq!(got.map(|e| (e.addr, e.dirty)),
-                                                Some((addr(k), was_dirty)));
+                                                Some((k, was_dirty)));
                             } else {
                                 prop_assert_eq!(got, None);
                             }
+                        }
+                        Op::PeekLru => {
+                            let want = model.order.back().map(|&k| Eviction {
+                                addr: k,
+                                dirty: model.dirty.contains(&k),
+                            });
+                            prop_assert_eq!(sut.peek_lru(), want);
                         }
                     }
                     // Observable dirty state must match the two-structure
@@ -900,10 +893,9 @@ mod tests {
                     sut.check_invariants();
                     prop_assert_eq!(sut.dirty_len(), model.dirty.len());
                     for &k in model.order.iter() {
-                        prop_assert_eq!(sut.is_dirty(addr(k)), model.dirty.contains(&k));
+                        prop_assert_eq!(sut.is_dirty(k), model.dirty.contains(&k));
                     }
-                    let mut expect: Vec<BlockAddr> =
-                        model.dirty.iter().map(|&k| addr(k)).collect();
+                    let mut expect: Vec<BlockAddr> = model.dirty.iter().copied().collect();
                     expect.sort_unstable();
                     prop_assert_eq!(sut.dirty_blocks(), expect);
                 }
@@ -919,41 +911,37 @@ mod tests {
                 for op in ops {
                     match op {
                         Op::Lookup(k) => {
-                            prop_assert_eq!(sut.lookup(addr(k)), model.lookup(k));
+                            prop_assert_eq!(sut.lookup(k), model.lookup(k));
+                        }
+                        Op::Promote(k) => {
+                            prop_assert_eq!(sut.promote(k), model.lookup(k));
                         }
                         Op::Insert(k, d) => {
-                            let expect = model.insert(k, d);
-                            match (sut.insert(addr(k), d), expect) {
-                                (InsertOutcome::InsertedEvicting(ev), Some((mk, md))) => {
-                                    prop_assert_eq!(ev.addr, addr(mk));
-                                    prop_assert_eq!(ev.dirty, md);
-                                }
-                                (InsertOutcome::Inserted, None) => {}
-                                (InsertOutcome::AlreadyPresent, None) => {}
-                                (got, want) => {
-                                    return Err(TestCaseError::fail(
-                                        format!("insert mismatch: sut={got:?} model={want:?}")));
-                                }
-                            }
+                            check_insert(sut.insert(k, d), model.insert(k, d))?;
                         }
                         Op::MarkClean(k) => {
-                            let in_model = model.q.iter_mut().find(|(x, _)| *x == k);
-                            let expect = in_model.map(|e| { e.1 = false; true }).unwrap_or(false);
-                            prop_assert_eq!(sut.mark_clean(addr(k)), expect);
+                            prop_assert_eq!(sut.mark_clean(k), model.set_dirty(k, false));
+                        }
+                        Op::MarkDirty(k) => {
+                            prop_assert_eq!(sut.mark_dirty(k), model.set_dirty(k, true));
                         }
                         Op::Remove(k) => {
-                            let expect = model.q.iter().position(|&(x, _)| x == k)
-                                .map(|p| model.q.remove(p).unwrap());
-                            let got = sut.remove(addr(k));
-                            prop_assert_eq!(got.map(|e| (e.addr, e.dirty)),
-                                            expect.map(|(k, d)| (addr(k), d)));
+                            let expect = model.find(k).map(|p| model.q.remove(p).unwrap());
+                            let got = sut.remove(k);
+                            prop_assert_eq!(got.map(|e| (e.addr, e.dirty)), expect);
+                        }
+                        Op::PeekLru => {
+                            prop_assert_eq!(
+                                sut.peek_lru().map(|e| (e.addr, e.dirty)),
+                                model.q.back().copied()
+                            );
                         }
                     }
                     sut.check_invariants();
                     prop_assert_eq!(sut.len(), model.q.len());
                     prop_assert_eq!(
                         sut.iter_mru().collect::<Vec<_>>(),
-                        model.q.iter().map(|&(k, d)| (addr(k), d)).collect::<Vec<_>>()
+                        model.q.iter().copied().collect::<Vec<_>>()
                     );
                 }
             }

@@ -12,10 +12,10 @@
 //! tiers (72 GB for the baseline 8 GB RAM + 64 GB flash), which is the
 //! source of the unified architecture's read-latency advantage (§7.1).
 
-use fcache_types::{BlockAddr, FxBuildHasher, FxHashMap};
+use fcache_types::BlockAddr;
 
-use crate::lru::{LruList, NodeId};
 use crate::stats::CacheStats;
+use crate::table::BlockTable;
 
 /// Which physical medium a frame lives in.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -24,20 +24,6 @@ pub enum Medium {
     Ram,
     /// Flash frame.
     Flash,
-}
-
-/// A frame in the unified chain.
-#[derive(Clone, Copy, Debug)]
-struct Frame {
-    medium: Medium,
-    /// Block currently held (None = free frame).
-    block: Option<BlockAddr>,
-    dirty: bool,
-    /// Intrusive dirty-list links: dirty frames form a doubly-linked list
-    /// threaded through the slab, so dirty snapshots iterate O(dirty)
-    /// without a second hash structure (links maintained in O(1)).
-    dirty_prev: Option<NodeId>,
-    dirty_next: Option<NodeId>,
 }
 
 /// Block evicted by a unified insert.
@@ -79,14 +65,10 @@ pub struct UnifiedInsert {
 /// assert!(ins.evicted.is_none());
 /// ```
 pub struct UnifiedCache {
-    /// One fast-hash probe per lookup; the dirty bit lives inside the frame
-    /// (no second structure). See `PERF.md`.
-    map: FxHashMap<u64, NodeId>,
-    lru: LruList<Frame>,
-    /// Count of frames with `dirty == true`.
-    dirty_count: usize,
-    /// Head of the intrusive dirty list (see `Frame::dirty_prev`).
-    dirty_head: Option<NodeId>,
+    /// One node per frame, listed for the cache's lifetime; a frame's
+    /// medium is its node's flash flag, a free frame is a vacant node, and
+    /// only occupied frames are indexed (see `table.rs` and `PERF.md`).
+    table: BlockTable,
     ram_frames: usize,
     flash_frames: usize,
     stats: CacheStats,
@@ -102,7 +84,7 @@ impl UnifiedCache {
     /// flash" (§3.3).
     pub fn new(ram_frames: usize, flash_frames: usize) -> Self {
         let total = ram_frames + flash_frames;
-        let mut lru = LruList::with_capacity(total.min(1 << 22));
+        let mut table = BlockTable::new(total);
         // Interleave: walk both tallies with an error accumulator
         // (Bresenham-style) for a deterministic proportional mix.
         let mut ram_left = ram_frames;
@@ -126,19 +108,11 @@ impl UnifiedCache {
                 Medium::Ram => ram_left -= 1,
                 Medium::Flash => flash_left -= 1,
             }
-            lru.push_back(Frame {
-                medium,
-                block: None,
-                dirty: false,
-                dirty_prev: None,
-                dirty_next: None,
-            });
+            let id = table.push_back(0, medium == Medium::Flash);
+            table.set_vacant(id, true);
         }
         Self {
-            map: FxHashMap::with_capacity_and_hasher(total.min(1 << 22), FxBuildHasher::default()),
-            lru,
-            dirty_count: 0,
-            dirty_head: None,
+            table,
             ram_frames,
             flash_frames,
             stats: CacheStats::default(),
@@ -162,17 +136,24 @@ impl UnifiedCache {
 
     /// Number of blocks currently cached.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.table.indexed()
     }
 
     /// True if no blocks are cached.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     /// Number of dirty blocks.
     pub fn dirty_len(&self) -> usize {
-        self.dirty_count
+        self.table.dirty_len()
+    }
+
+    /// Heap bytes of the cache's block index and frame slab, as allocated
+    /// (a deterministic memory cost: it depends on the frame counts only,
+    /// up to `2^22` frames).
+    pub fn heap_bytes(&self) -> usize {
+        self.table.heap_bytes()
     }
 
     /// Statistics counters.
@@ -185,51 +166,22 @@ impl UnifiedCache {
         self.stats.reset();
     }
 
-    /// Marks a clean frame dirty, pushing it onto the intrusive dirty
-    /// list. Caller ensures the frame is currently clean.
-    fn link_dirty(&mut self, id: NodeId) {
-        let old_head = self.dirty_head;
-        {
-            let f = self.lru.get_mut(id).expect("mapped frame lives");
-            debug_assert!(!f.dirty, "link_dirty on dirty frame");
-            f.dirty = true;
-            f.dirty_prev = None;
-            f.dirty_next = old_head;
+    fn medium(&self, id: u32) -> Medium {
+        if self.table.is_flash(id) {
+            Medium::Flash
+        } else {
+            Medium::Ram
         }
-        if let Some(h) = old_head {
-            self.lru.get_mut(h).expect("dirty head lives").dirty_prev = Some(id);
-        }
-        self.dirty_head = Some(id);
-        self.dirty_count += 1;
-    }
-
-    /// Marks a dirty frame clean, unlinking it from the intrusive dirty
-    /// list. Caller ensures the frame is currently dirty.
-    fn unlink_dirty(&mut self, id: NodeId) {
-        let (prev, next) = {
-            let f = self.lru.get_mut(id).expect("mapped frame lives");
-            debug_assert!(f.dirty, "unlink_dirty on clean frame");
-            f.dirty = false;
-            (f.dirty_prev.take(), f.dirty_next.take())
-        };
-        match prev {
-            Some(p) => self.lru.get_mut(p).expect("dirty prev lives").dirty_next = next,
-            None => self.dirty_head = next,
-        }
-        if let Some(n) = next {
-            self.lru.get_mut(n).expect("dirty next lives").dirty_prev = prev;
-        }
-        self.dirty_count -= 1;
     }
 
     /// Looks a block up; on a hit promotes its frame and returns the medium
     /// (the read pays that medium's latency).
     pub fn lookup(&mut self, addr: BlockAddr) -> Option<Medium> {
-        match self.map.get(&addr.to_u64()) {
-            Some(&id) => {
-                self.lru.touch(id);
+        match self.table.get(addr.to_u64()) {
+            Some(id) => {
+                self.table.touch(id);
                 self.stats.hits += 1;
-                Some(self.lru.get(id).expect("mapped frame lives").medium)
+                Some(self.medium(id))
             }
             None => {
                 self.stats.misses += 1;
@@ -240,22 +192,19 @@ impl UnifiedCache {
 
     /// True if the block is cached; no promotion, no statistics.
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.map.contains_key(&addr.to_u64())
+        self.table.get(addr.to_u64()).is_some()
     }
 
     /// Medium of a cached block without promoting it.
     pub fn medium_of(&self, addr: BlockAddr) -> Option<Medium> {
-        self.map
-            .get(&addr.to_u64())
-            .map(|&id| self.lru.get(id).expect("mapped frame lives").medium)
+        self.table.get(addr.to_u64()).map(|id| self.medium(id))
     }
 
     /// True if the block is cached and dirty.
     pub fn is_dirty(&self, addr: BlockAddr) -> bool {
-        match self.map.get(&addr.to_u64()) {
-            Some(&id) => self.lru.get(id).expect("mapped frame lives").dirty,
-            None => false,
-        }
+        self.table
+            .get(addr.to_u64())
+            .is_some_and(|id| self.table.is_dirty(id))
     }
 
     /// Inserts (or overwrites) a block.
@@ -265,55 +214,48 @@ impl UnifiedCache {
     /// is promoted in place (blocks never migrate between media).
     pub fn insert(&mut self, addr: BlockAddr, dirty: bool) -> UnifiedInsert {
         let key = addr.to_u64();
-        if let Some(&id) = self.map.get(&key) {
-            self.lru.touch(id);
-            let f = self.lru.get(id).expect("mapped frame lives");
-            let medium = f.medium;
-            if dirty {
-                self.stats.overwrites += 1;
-                if !f.dirty {
-                    self.link_dirty(id);
+        let slot = match self.table.find(key) {
+            Ok((_, id)) => {
+                self.table.touch(id);
+                if dirty {
+                    self.stats.overwrites += 1;
+                    self.table.set_dirty(id, true);
                 }
+                return UnifiedInsert {
+                    medium: self.medium(id),
+                    evicted: None,
+                    already_present: true,
+                };
             }
-            return UnifiedInsert {
-                medium,
-                evicted: None,
-                already_present: true,
-            };
-        }
+            Err(slot) => slot,
+        };
 
-        let victim_id = self
-            .lru
+        let victim = self
+            .table
             .back()
             .expect("unified cache has at least one frame");
-        let was_dirty = self.lru.get(victim_id).expect("tail frame lives").dirty;
-        if was_dirty {
-            self.unlink_dirty(victim_id);
-        }
-        let (medium, evicted) = {
-            let f = self.lru.get_mut(victim_id).expect("tail frame lives");
-            let medium = f.medium;
-            let evicted = f.block.take().map(|old| UnifiedEviction {
-                addr: old,
+        let medium = self.medium(victim);
+        let evicted = if self.table.is_vacant(victim) {
+            self.table.set_vacant(victim, false);
+            None
+        } else {
+            Some(UnifiedEviction {
+                addr: BlockAddr::from_u64(self.table.key(victim)),
                 medium,
-                dirty: was_dirty,
-            });
-            f.block = Some(addr);
-            (medium, evicted)
+                dirty: self.table.is_dirty(victim),
+            })
         };
+        self.table.index_at(slot, key, victim);
         if let Some(ev) = &evicted {
-            self.map.remove(&ev.addr.to_u64());
+            self.table.unindex(ev.addr.to_u64(), victim);
             if ev.dirty {
                 self.stats.dirty_evictions += 1;
             } else {
                 self.stats.clean_evictions += 1;
             }
         }
-        self.lru.touch(victim_id);
-        self.map.insert(key, victim_id);
-        if dirty {
-            self.link_dirty(victim_id);
-        }
+        self.table.touch(victim);
+        self.table.set_dirty(victim, dirty);
         self.stats.insertions += 1;
         UnifiedInsert {
             medium,
@@ -324,11 +266,9 @@ impl UnifiedCache {
 
     /// Marks a cached block clean (after its writeback completes).
     pub fn mark_clean(&mut self, addr: BlockAddr) -> bool {
-        match self.map.get(&addr.to_u64()) {
-            Some(&id) => {
-                if self.lru.get(id).expect("mapped frame lives").dirty {
-                    self.unlink_dirty(id);
-                }
+        match self.table.get(addr.to_u64()) {
+            Some(id) => {
+                self.table.set_dirty(id, false);
                 true
             }
             None => false,
@@ -338,20 +278,24 @@ impl UnifiedCache {
     /// Removes a block (consistency invalidation). The frame stays in the
     /// chain as a free frame at its current recency position.
     pub fn remove(&mut self, addr: BlockAddr) -> Option<UnifiedEviction> {
-        let id = self.map.remove(&addr.to_u64())?;
-        let dirty = self.lru.get(id).expect("mapped frame lives").dirty;
-        if dirty {
-            self.unlink_dirty(id);
-        }
-        let f = self.lru.get_mut(id).expect("mapped frame lives");
-        let medium = f.medium;
-        f.block = None;
+        let (slot, id) = self.table.find(addr.to_u64()).ok()?;
+        let dirty = self.table.is_dirty(id);
+        self.table.unindex_slot(slot);
+        self.table.set_dirty(id, false);
+        self.table.set_vacant(id, true);
         self.stats.invalidations += 1;
         Some(UnifiedEviction {
             addr,
-            medium,
+            medium: self.medium(id),
             dirty,
         })
+    }
+
+    /// Dirty frames' blocks and media, unsorted.
+    fn dirty_frames(&self) -> impl Iterator<Item = (BlockAddr, Medium)> + '_ {
+        self.table
+            .dirty()
+            .map(|id| (BlockAddr::from_u64(self.table.key(id)), self.medium(id)))
     }
 
     /// Appends dirty blocks living in `medium` to `out`, sorted by address
@@ -359,14 +303,11 @@ impl UnifiedCache {
     /// reuse one allocation across ticks.
     pub fn dirty_blocks_of_into(&self, medium: Medium, out: &mut Vec<BlockAddr>) {
         let start = out.len();
-        let mut cur = self.dirty_head;
-        while let Some(id) = cur {
-            let f = self.lru.get(id).expect("dirty frame lives");
-            if f.medium == medium {
-                out.push(f.block.expect("dirty frame holds a block"));
-            }
-            cur = f.dirty_next;
-        }
+        out.extend(
+            self.dirty_frames()
+                .filter(|&(_, m)| m == medium)
+                .map(|(a, _)| a),
+        );
         out[start..].sort_unstable();
     }
 
@@ -374,13 +315,7 @@ impl UnifiedCache {
     /// address (allocating convenience wrapper; the syncers use
     /// [`UnifiedCache::dirty_blocks_of_into`]).
     pub fn dirty_blocks(&self) -> Vec<(BlockAddr, Medium)> {
-        let mut v: Vec<(BlockAddr, Medium)> = Vec::with_capacity(self.dirty_count);
-        let mut cur = self.dirty_head;
-        while let Some(id) = cur {
-            let f = self.lru.get(id).expect("dirty frame lives");
-            v.push((f.block.expect("dirty frame holds a block"), f.medium));
-            cur = f.dirty_next;
-        }
+        let mut v: Vec<(BlockAddr, Medium)> = self.dirty_frames().collect();
         v.sort_unstable_by_key(|(a, _)| *a);
         v
     }
@@ -389,53 +324,32 @@ impl UnifiedCache {
     ///
     /// # Panics
     ///
-    /// Panics if frame accounting or the dirty set is inconsistent.
+    /// Panics if frame accounting, the index or the dirty set is
+    /// inconsistent.
     pub fn check_invariants(&self) {
+        self.table.check();
         assert_eq!(
-            self.lru.len(),
+            self.table.listed(),
             self.capacity(),
             "frame count must never change"
         );
-        let mut ram = 0;
         let mut flash = 0;
         let mut occupied = 0;
-        let mut dirty = 0;
-        for f in self.lru.iter() {
-            match f.medium {
-                Medium::Ram => ram += 1,
-                Medium::Flash => flash += 1,
-            }
-            if let Some(b) = f.block {
-                occupied += 1;
-                assert!(
-                    self.map.contains_key(&b.to_u64()),
-                    "occupied frame not mapped"
-                );
-                assert_eq!(self.is_dirty(b), f.dirty, "dirty bit mismatch");
-                dirty += usize::from(f.dirty);
+        for id in self.table.iter() {
+            flash += usize::from(self.table.is_flash(id));
+            if self.table.is_vacant(id) {
+                assert!(!self.table.is_dirty(id), "free frame cannot be dirty");
             } else {
-                assert!(!f.dirty, "free frame cannot be dirty");
+                occupied += 1;
+                assert_eq!(
+                    self.table.get(self.table.key(id)),
+                    Some(id),
+                    "occupied frame not indexed at its node"
+                );
             }
         }
-        assert_eq!(ram, self.ram_frames, "RAM frames leaked");
         assert_eq!(flash, self.flash_frames, "flash frames leaked");
-        assert_eq!(occupied, self.map.len(), "map size mismatch");
-        assert_eq!(dirty, self.dirty_count, "dirty count mismatch");
-        // The intrusive dirty list must contain exactly the dirty frames,
-        // with consistent back-links.
-        let mut walked = 0;
-        let mut prev: Option<NodeId> = None;
-        let mut cur = self.dirty_head;
-        while let Some(id) = cur {
-            let f = self.lru.get(id).expect("dirty frame lives");
-            assert!(f.dirty, "dirty list holds clean frame");
-            assert_eq!(f.dirty_prev, prev, "dirty list back-link mismatch");
-            walked += 1;
-            assert!(walked <= self.dirty_count, "dirty list cycle");
-            prev = cur;
-            cur = f.dirty_next;
-        }
-        assert_eq!(walked, self.dirty_count, "dirty list length mismatch");
+        assert_eq!(occupied, self.len(), "index size mismatch");
     }
 }
 
@@ -612,24 +526,116 @@ mod tests {
     mod properties {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::VecDeque;
 
+        /// Eleven blocks in each of three files, one of them with the top
+        /// file-id bit set.
+        fn key() -> impl Strategy<Value = BlockAddr> {
+            (0usize..3, 0u32..11)
+                .prop_map(|(f, b)| BlockAddr::new(FileId([0, 1, 0x8000_0003][f]), b))
+        }
+
+        /// Reference model of one frame of the chain. Its medium is learned
+        /// when the first block lands in it and must never change.
+        #[derive(Clone, Copy, Debug)]
+        struct Frame {
+            medium: Option<Medium>,
+            block: Option<BlockAddr>,
+            dirty: bool,
+        }
+
+        /// Checks a reported medium against the frame's learned one.
+        fn learn(frame: &mut Frame, got: Medium) -> Result<(), TestCaseError> {
+            prop_assert_eq!(*frame.medium.get_or_insert(got), got);
+            Ok(())
+        }
+
+        // The frame chain as a VecDeque, front = MRU: lookups and inserts
+        // promote, a new block takes the LRU frame whatever it holds, a
+        // removal frees the frame where it stands.
         proptest! {
             #[test]
             fn invariants_hold_under_random_ops(
                 ram in 0usize..4,
                 flash in 1usize..12,
-                ops in proptest::collection::vec((0u32..32, any::<bool>(), 0u8..4), 0..300),
+                ops in proptest::collection::vec((key(), any::<bool>(), 0u8..4), 0..300),
             ) {
                 let mut c = UnifiedCache::new(ram, flash);
+                let free = Frame { medium: None, block: None, dirty: false };
+                let mut chain: VecDeque<Frame> = std::iter::repeat_n(free, ram + flash).collect();
                 for (k, d, sel) in ops {
+                    let at = chain.iter().position(|f| f.block == Some(k));
                     match sel {
-                        0 => { c.lookup(addr(k)); }
-                        1 => { c.insert(addr(k), d); }
-                        2 => { c.remove(addr(k)); }
-                        _ => { c.mark_clean(addr(k)); }
+                        0 => {
+                            let got = c.lookup(k);
+                            prop_assert_eq!(got.is_some(), at.is_some());
+                            if let Some(p) = at {
+                                let f = chain.remove(p).unwrap();
+                                prop_assert_eq!(got, f.medium);
+                                chain.push_front(f);
+                            }
+                        }
+                        1 => {
+                            let ins = c.insert(k, d);
+                            prop_assert_eq!(ins.already_present, at.is_some());
+                            let mut f = match at {
+                                Some(p) => {
+                                    let mut f = chain.remove(p).unwrap();
+                                    f.dirty |= d;
+                                    prop_assert!(ins.evicted.is_none());
+                                    f
+                                }
+                                None => {
+                                    let f = chain.pop_back().unwrap();
+                                    prop_assert_eq!(
+                                        ins.evicted.map(|e| (e.addr, e.medium, e.dirty)),
+                                        f.block.map(|b| (b, ins.medium, f.dirty))
+                                    );
+                                    Frame { block: Some(k), dirty: d, ..f }
+                                }
+                            };
+                            learn(&mut f, ins.medium)?;
+                            chain.push_front(f);
+                        }
+                        2 => {
+                            let got = c.remove(k);
+                            match at {
+                                Some(p) => {
+                                    let f = &mut chain[p];
+                                    prop_assert_eq!(
+                                        got.map(|e| (e.addr, Some(e.medium), e.dirty)),
+                                        Some((k, f.medium, f.dirty))
+                                    );
+                                    (f.block, f.dirty) = (None, false);
+                                }
+                                None => prop_assert_eq!(got, None),
+                            }
+                        }
+                        _ => {
+                            prop_assert_eq!(c.mark_clean(k), at.is_some());
+                            if let Some(p) = at {
+                                chain[p].dirty = false;
+                            }
+                        }
                     }
                     c.check_invariants();
-                    prop_assert!(c.len() <= c.capacity());
+                    let held: Vec<&Frame> = chain.iter().filter(|f| f.block.is_some()).collect();
+                    prop_assert_eq!(c.len(), held.len());
+                    let mut dirty: Vec<(BlockAddr, Medium)> = held
+                        .iter()
+                        .filter(|f| f.dirty)
+                        .map(|f| (f.block.unwrap(), f.medium.unwrap()))
+                        .collect();
+                    dirty.sort_unstable_by_key(|&(a, _)| a);
+                    prop_assert_eq!(c.dirty_blocks(), dirty);
+                    for f in held {
+                        prop_assert_eq!(c.medium_of(f.block.unwrap()), f.medium);
+                    }
+                    for m in [Medium::Ram, Medium::Flash] {
+                        let learned = chain.iter().filter(|f| f.medium == Some(m)).count();
+                        let frames = if m == Medium::Ram { ram } else { flash };
+                        prop_assert!(learned <= frames, "{m:?} frames over-learned");
+                    }
                 }
             }
 

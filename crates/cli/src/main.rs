@@ -12,6 +12,8 @@
 //! `8G`, `256K`; `--scale N` divides every byte quantity by `N` (see
 //! DESIGN.md §4 on linear scaling).
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 mod args;

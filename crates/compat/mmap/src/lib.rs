@@ -26,6 +26,8 @@
 //! # std::fs::remove_file(&path).unwrap();
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::fs::File;
 use std::io;
 

@@ -11,6 +11,8 @@
 //! test name) so failures are reproducible; there is no shrinking — the
 //! failing case index and seed are reported instead.
 
+#![forbid(unsafe_code)]
+
 /// Deterministic RNG handed to strategies.
 pub mod test_runner {
     use std::fmt;

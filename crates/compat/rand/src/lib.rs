@@ -8,6 +8,8 @@
 //! so statistical quality matches what the simulator was written against.
 //! Streams are fully deterministic for a given seed.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Random number sources.

@@ -18,6 +18,8 @@
 //!   replayable against an [`SsdModel`] exactly as the authors replayed
 //!   their simulator logs against real SSDs.
 
+#![forbid(unsafe_code)]
+
 pub mod flash;
 pub mod ftl;
 pub mod iolog;

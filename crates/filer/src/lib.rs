@@ -15,6 +15,8 @@
 //! cache, and large server memory" (§2); the per-host network segment is
 //! the contention point, not filer service.
 
+#![forbid(unsafe_code)]
+
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 

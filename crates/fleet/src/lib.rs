@@ -34,6 +34,8 @@
 //! and p50/p95/p99 of per-host mean latency *across hosts* — the "how bad
 //! is the unluckiest host" view a single-cell report cannot give.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};

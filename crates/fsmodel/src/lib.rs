@@ -15,6 +15,8 @@
 //! The output is exactly what the downstream trace generator consumes: a
 //! list of `(file id, size, popularity)` plus a popularity-weighted sampler.
 
+#![forbid(unsafe_code)]
+
 pub mod dist;
 pub mod model;
 

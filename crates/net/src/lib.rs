@@ -22,6 +22,8 @@
 //! spend waiting behind other packets is tallied separately from wire
 //! time as [`SegmentStats::queue_wait`].
 
+#![forbid(unsafe_code)]
+
 use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::rc::Rc;

@@ -25,6 +25,8 @@
 //! Everything is deterministic: routing is a pure hash, and all schedule
 //! consultations happen at caller-supplied simulated times.
 
+#![forbid(unsafe_code)]
+
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 

@@ -20,6 +20,8 @@
 //! working set, eight threads per host, total volume four times the
 //! working-set size with the first half used as warmup, 30 % writes.
 
+#![forbid(unsafe_code)]
+
 pub mod generator;
 pub mod poisson;
 pub mod working_set;

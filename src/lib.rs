@@ -8,6 +8,8 @@
 //! file) in a `Scenario`, or fan a labeled grid of configurations out
 //! with the `Sweep` builder — see `fcache::scenario` and the examples.
 
+#![forbid(unsafe_code)]
+
 pub use fcache;
 pub use fcache_cache;
 pub use fcache_des;
